@@ -226,58 +226,3 @@ def _gcd_mod_inplace(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
         out = [(c * inv) % p for c in out]
     return out
 
-
-# ---------------------------------------------------------------------------
-# fast repeated reduction by one fixed monic modulus
-
-
-class Reducer:
-    """Reduce many polynomials modulo one fixed monic f over F_p.
-
-    Precomputes the Newton series inverse of the reversed modulus, so a
-    reduction costs two multiplications instead of a schoolbook loop.
-    Falls back to schoolbook when the dividend barely exceeds f.
-    """
-
-    def __init__(self, f: Sequence[int], p: int, max_extra: int):
-        f = trim(f)
-        if not f or f[-1] != 1:
-            raise ValueError("Reducer wants a monic modulus")
-        self.f = f
-        self.p = p
-        self.deg = len(f) - 1
-        self._rev = f[::-1]
-        self._inv = self._inverse_series(max(1, max_extra + 1))
-
-    def _inverse_series(self, prec: int) -> List[int]:
-        # Newton iteration: I <- I*(2 - R*I) mod t^(2k)
-        p = self.p
-        inv = [1]
-        k = 1
-        while k < prec:
-            k = min(2 * k, prec)
-            ri = mul_mod(self._rev[:k], inv, p)[:k]
-            corr = [(-c) % p for c in ri]
-            corr[0] = (corr[0] + 2) % p
-            inv = mul_mod(inv, corr, p)[:k]
-        return inv[:prec]
-
-    def reduce(self, u: Sequence[int]) -> List[int]:
-        """u mod f, trimmed."""
-        p = self.p
-        u = trim(u)
-        du = len(u) - 1
-        if du < self.deg:
-            return list(u)
-        k = du - self.deg + 1
-        if k <= 32 or self.deg <= 32:
-            _, r = divrem_mod(u, self.f, p)
-            return r
-        if len(self._inv) < k:
-            self._inv = self._inverse_series(k)
-        qrev = mul_mod(u[::-1][:k], self._inv[:k], p)[:k]
-        q = qrev[::-1]
-        qf = mul_mod(q, self.f, p)
-        r = [(cu - cf) % p for cu, cf in zip(u, qf)]
-        r = trim(r[: self.deg])
-        return r

@@ -48,6 +48,19 @@ class Config:
     out: Optional[str] = None
 
 
+def _config_int(key: str, value) -> int:
+    # bool is an int subclass and int() truncates floats and parses strings;
+    # accept only a JSON integer or a string of decimal digits
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+
+
 def load_config() -> Config:
     cfg = Config()
     path = os.environ.get(CONFIG_ENV)
@@ -59,9 +72,13 @@ def load_config() -> Config:
         raise ValueError(f"config file {path} must hold a JSON object")
     for key in ("max_a", "seed", "jobs"):
         if key in data:
-            setattr(cfg, key, int(data[key]))
+            setattr(cfg, key, _config_int(key, data[key]))
     if "oracle_level" in data:
-        cfg.oracle_level = str(data["oracle_level"])
+        level = data["oracle_level"]
+        if level not in obstruction.ORACLE_LEVELS:
+            raise ValueError(f"oracle_level must be one of {obstruction.ORACLE_LEVELS}, "
+                             f"got {level!r}")
+        cfg.oracle_level = level
     if "out" in data:
         cfg.out = str(data["out"])
     return cfg

@@ -1,23 +1,24 @@
 """Alexander polynomials for the pretzel knots P(a, -a-2, -(a+1)^2/2).
 
-The polynomial is never computed from a diagram.  Two closed forms are
-evaluated and required to agree exactly:
+The polynomial is never computed from a diagram.  `alexander_poly`
+evaluates two closed forms and requires them to agree exactly:
 
     (t^(a+2) + 1)(t^a + 1) / (t + 1)^2  -  ((a+1)^2/4) t^(a-1) (t-1)^2
 
 and the same expression with the left product replaced by the product
 of C_d(-t) over all divisors d > 1 of a and of a + 2, where C_d is the
 d-th cyclotomic polynomial.  For a prime p dividing (a+1)/2 the
-correction term vanishes mod p and the reduction becomes a product of
-reduced cyclotomics; that identity is asserted on every call rather
-than trusted.
+correction term vanishes mod p; `alexander_mod_p` builds the reduction
+as the product of reduced cyclotomics and asserts that it equals the
+coefficient reduction of the integer polynomial.
 
-The Fox-Milnor test on the reduction has two interchangeable routes: a
-direct one that fully factors the polynomial (fine up to moderate
-degree) and a structured one that exploits the product shape, checking
-global squarefreeness with one gcd and then asking each cyclotomic
-part for a self-reciprocal irreducible factor.  Both decide the same
-predicate; the cutoff is purely a cost choice.
+Lemma (b) (proved in `fox_milnor_status`): that reduction is squarefree
+and its parts C_d(-t) are pairwise coprime.  The Fox-Milnor test on it
+has two routes.  The direct route builds the reduction and fully
+factors it.  The structured route never builds it: by the lemma the
+reduction admits a Fox-Milnor factorization iff no cyclotomic part has
+a self-reciprocal irreducible factor, so it asks each part alone.  Both
+decide the same predicate; the degree cutoff is purely a cost choice.
 """
 
 from __future__ import annotations
@@ -120,6 +121,14 @@ def alexander_poly(a: int, max_a: int = DEFAULT_MAX_A) -> IntPoly:
     return _alexander_cached(a)
 
 
+def _validate_reduction(a: int, p: int, max_a: int) -> None:
+    knot = validate_member(a, max_a)
+    if not numth.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if knot.half_a_plus_one % p:
+        raise ValueError(f"{p} does not divide (a+1)/2 = {knot.half_a_plus_one}")
+
+
 def alexander_mod_p(a: int, p: int, max_a: int = DEFAULT_MAX_A) -> ModPoly:
     """Reduction mod p of the Alexander polynomial, for p | (a+1)/2.
 
@@ -131,11 +140,7 @@ def alexander_mod_p(a: int, p: int, max_a: int = DEFAULT_MAX_A) -> ModPoly:
     >>> str(alexander_mod_p(3, 2))
     '1 + t^2 + t^3 + t^4 + t^6'
     """
-    knot = validate_member(a, max_a)
-    if not numth.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if knot.half_a_plus_one % p:
-        raise ValueError(f"{p} does not divide (a+1)/2 = {knot.half_a_plus_one}")
+    _validate_reduction(a, p, max_a)
     product = ModPoly(p, (1,))
     for n in (a, a + 2):
         for d in _divisors_over_one(n):
@@ -177,15 +182,14 @@ class FoxMilnorStatus:
     multiset: Optional[_factor.FactorMultiset]
 
 
-def _structured_status(
-    a: int, p: int, delta_bar: ModPoly, seed: int
-) -> Optional[FoxMilnorStatus]:
-    if delta_bar.gcd(delta_bar.derivative()).degree != 0:
-        return None  # fall back to the direct route  # pragma: no cover
+def _structured_status(a: int, p: int, seed: int, max_a: int) -> FoxMilnorStatus:
     parts = []
     offenders = []
+    delta_bar = None
     for n, source in ((a, "a"), (a + 2, "a+2")):
         for d in _divisors_over_one(n):
+            if d % p == 0:
+                raise ArithmeticError(f"p = {p} divides the part index d = {d}")
             part = reduce_mod(cyclotomic_poly(d), p)
             got = _factor.self_reciprocal_search(part, d, seed, exhibit_cap=0)
             parts.append(PartCheck(d, source, got.exists, got.power, got.divisor, got.gcd_degree))
@@ -195,6 +199,8 @@ def _structured_status(
                 h = shown.factor
                 if h is not None:
                     h = h.substitute_neg().monic()
+                    if delta_bar is None:
+                        delta_bar = alexander_mod_p(a, p, max_a)
                     if not delta_bar.divrem(h)[1].is_zero():  # pragma: no cover
                         raise ArithmeticError("offending factor does not divide the reduction")
                     offenders.append((h, 1))
@@ -213,10 +219,43 @@ def fox_milnor_status(
 ) -> FoxMilnorStatus:
     """Does the mod-p Alexander reduction admit a Fox-Milnor factorization?
 
-    route is "direct" (factor everything), "structured" (squarefree
-    gcd plus per-part searches), or "auto" (direct below degree
-    1200).  An obstructed outcome here certifies the knot is not
-    topologically slice.
+    A reduction f admits one (f = g g* up to a unit) iff every
+    self-reciprocal irreducible factor of f has even multiplicity.  An
+    obstructed outcome here certifies the knot is not topologically
+    slice.
+
+    route is "direct", "structured", or "auto" (direct up to degree
+    1200; the degree of the reduction is 2a).  The direct route builds
+    the reduction with `alexander_mod_p` and factors it completely.
+    The structured route never builds it: it runs the self-reciprocal
+    factor search on each reduced cyclotomic C_d, d > 1 dividing a or
+    a + 2, and only on the rare path where some part has such a factor
+    does it build the reduction, to check that the exhibited factor
+    divides it.  It rests on
+
+    Lemma (b).  For a prime p | (a+1)/2, Delta mod p is the product of
+    C_d(-t) over the distinct d > 1 dividing a or a + 2, and that
+    product is squarefree.
+
+    Proof.  The correction term ((a+1)/2)^2 t^(a-1) (t-1)^2 has
+    coefficients divisible by p^2, so Delta mod p is the cyclotomic
+    product.  Since a(a+2) = (a+1)^2 - 1 and p | a + 1, p does not
+    divide a(a+2), so p does not divide any part index d.  Then t^d - 1
+    is coprime to its derivative d t^(d-1) mod p, so C_d mod p is
+    separable and its roots are exactly the elements of order d in the
+    algebraic closure of F_p.  Parts with different d therefore have
+    roots of different orders and are coprime.  a and a + 2 are odd and
+    differ by 2, so gcd(a, a+2) = 1 and their divisor sets meet only in
+    1: every d occurs once.  Finally t -> -t is a ring automorphism of
+    F_p[t], so the parts C_d(-t) are still separable and pairwise
+    coprime, and their product is squarefree.  QED
+
+    Every factor thus has multiplicity 1, and the reduction admits a
+    Fox-Milnor factorization iff no part C_d(-t) has a self-reciprocal
+    irreducible factor.  As h(t) is self-reciprocal iff h(-t) is, that
+    is asking each C_d mod p.  The structured route checks the lemma's
+    hypothesis, p not dividing d, for every part and raises
+    ArithmeticError if it fails.
 
     >>> fox_milnor_status(3, 2).admits
     False
@@ -225,15 +264,12 @@ def fox_milnor_status(
     """
     if route not in ("auto", "direct", "structured"):
         raise ValueError(f"unknown route {route!r}")
-    delta_bar = alexander_mod_p(a, p, max_a)
+    _validate_reduction(a, p, max_a)
     if route == "auto":
-        route = "direct" if delta_bar.degree <= DIRECT_ROUTE_MAX_DEGREE else "structured"
+        route = "direct" if 2 * a <= DIRECT_ROUTE_MAX_DEGREE else "structured"
     if route == "structured":
-        status = _structured_status(a, p, delta_bar, seed)
-        if status is not None:
-            return status
-        route = "direct"  # pragma: no cover
-    rep = _factor.fox_milnor_mod_p(delta_bar, seed)
+        return _structured_status(a, p, seed, max_a)
+    rep = _factor.fox_milnor_mod_p(alexander_mod_p(a, p, max_a), seed)
     squarefree = all(m == 1 for _, m in rep.multiset)
     return FoxMilnorStatus(
         a, p, rep.admits, "direct", squarefree, rep.odd_multiplicity, (), rep.multiset

@@ -186,6 +186,17 @@ def test_bad_config_file(tmp_path, capsys, monkeypatch):
     assert code == 2 and err
     monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / "missing.json"))
     assert run(capsys, "check", "3")[0] == 2
+    # values that int() would silently coerce, and an unknown enum value
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    for bad in ({"jobs": 2.7}, {"seed": True}, {"max_a": "9.5"}, {"jobs": "two"},
+                {"seed": None}, {"oracle_level": "sometimes"}, {"oracle_level": 1}):
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "check", "3")
+        assert code == 2 and "bad config" in err, bad
+    cfg.write_text(json.dumps({"jobs": 2, "seed": "7", "max_a": 999,
+                               "oracle_level": "always"}))
+    assert cli.load_config() == cli.Config(max_a=999, seed=7, jobs=2,
+                                            oracle_level="always")
 
 
 def test_usage_without_subcommand():

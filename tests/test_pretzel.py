@@ -2,7 +2,7 @@
 
 import pytest
 
-from pretzelslice import numth
+from pretzelslice import numth, pretzel
 from pretzelslice.cyclotomic import cyclotomic_poly
 from pretzelslice.poly import IntPoly, ModPoly
 from pretzelslice.pretzel import (
@@ -13,6 +13,12 @@ from pretzelslice.pretzel import (
     validate_member,
 )
 
+# every (a, p) with a one of the 8 survivors and p a prime of (a+1)/2
+SURVIVOR_REDUCTIONS = [
+    (1081, 541), (3577, 1789), (11257, 13), (11257, 433), (12457, 6229),
+    (12841, 6421), (14617, 7309), (17521, 8761), (17881, 8941),
+]
+
 
 def test_knot_parameters():
     k = PretzelKnot(3)
@@ -22,6 +28,10 @@ def test_knot_parameters():
     assert PretzelKnot(49).reduction_primes() == (5,)
     assert PretzelKnot(1081).reduction_primes() == (541,)
     assert PretzelKnot(15).strands == (15, -17, -128)
+    survivors = sorted({a for a, _ in SURVIVOR_REDUCTIONS})
+    assert len(survivors) == 8
+    assert [(a, p) for a in survivors
+            for p in PretzelKnot(a).reduction_primes()] == SURVIVOR_REDUCTIONS
 
 
 def test_invalid_parameters_rejected():
@@ -109,10 +119,35 @@ def test_fox_milnor_routes_agree():
                 got = {g.coeffs for g, _ in structured.offenders}
                 want = {g.coeffs for g, _ in direct.offenders}
                 assert got <= want
+            # Lemma (b): the reduction is squarefree, as the structured
+            # route assumes without running this gcd
+            delta_bar = alexander_mod_p(a, p)
+            assert delta_bar.gcd(delta_bar.derivative()).degree == 0, (a, p)
+            assert direct.squarefree
 
 
-def test_fox_milnor_survivor_admits():
-    st = fox_milnor_status(1081, 541)
+@pytest.mark.parametrize("a,p", SURVIVOR_REDUCTIONS)
+def test_fox_milnor_survivor_admits(a, p):
+    st = fox_milnor_status(a, p)
     assert st.admits
     assert st.route == "structured"
     assert st.squarefree
+    assert st.offenders == ()
+    assert st.parts and not any(c.exists for c in st.parts)
+
+
+def test_structured_route_never_builds_the_reduction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reduction was built")
+
+    monkeypatch.setattr(pretzel, "alexander_mod_p", refuse)
+    monkeypatch.setattr(pretzel, "_alexander_cached", refuse)
+    st = fox_milnor_status(1081, 541)
+    assert st.admits and st.route == "structured"
+
+
+def test_structured_route_checks_the_lemma_hypothesis():
+    # p = 3 divides the part index d = 3; the public entry point rejects
+    # this p, so the route's own check is reached only directly
+    with pytest.raises(ArithmeticError):
+        pretzel._structured_status(3, 3, 0, pretzel.DEFAULT_MAX_A)
