@@ -12,8 +12,8 @@ error.  10 instead of 1 keeps "no obstruction found" distinguishable
 from "broken input" in shell pipelines.
 
 Defaults can be overridden by a JSON config file named by the
-PRETZELSLICE_CONFIG environment variable (keys: seed, jobs,
-oracle_level, max_a, out); explicit flags always win.
+PRETZELSLICE_CONFIG environment variable (keys: seed, jobs, max_a,
+out; any other key is an error); explicit flags always win.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 from . import numth, obstruction, pretzel
@@ -44,7 +44,6 @@ class Config:
     max_a: int = pretzel.DEFAULT_MAX_A
     seed: int = DEFAULT_SEED
     jobs: int = 1
-    oracle_level: str = "composite"
     out: Optional[str] = None
 
 
@@ -70,15 +69,18 @@ def load_config() -> Config:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    known = [f.name for f in fields(Config)]
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                         f"known keys are {', '.join(known)}")
     for key in ("max_a", "seed", "jobs"):
         if key in data:
             setattr(cfg, key, _config_int(key, data[key]))
-    if "oracle_level" in data:
-        level = data["oracle_level"]
-        if level not in obstruction.ORACLE_LEVELS:
-            raise ValueError(f"oracle_level must be one of {obstruction.ORACLE_LEVELS}, "
-                             f"got {level!r}")
-        cfg.oracle_level = level
+    if cfg.jobs < 1:
+        raise ValueError(f"config key 'jobs' must be >= 1, got {cfg.jobs}")
+    if cfg.max_a < 3:
+        raise ValueError(f"config key 'max_a' must be >= 3, got {cfg.max_a}")
     if "out" in data:
         cfg.out = str(data["out"])
     return cfg
@@ -107,7 +109,6 @@ def cmd_check(args, cfg: Config) -> int:
     cert = obstruction.decide(
         args.a,
         seed=cfg.seed,
-        oracle_level=cfg.oracle_level,
         max_a=cfg.max_a,
         all_witnesses=args.all_witnesses,
     )
@@ -151,8 +152,7 @@ def cmd_scan(args, cfg: Config) -> int:
     report = obstruction.scan(
         args.lo, args.hi,
         modulus=args.mod, residues=residues,
-        seed=cfg.seed, oracle_level=cfg.oracle_level,
-        jobs=cfg.jobs, max_a=cfg.max_a,
+        seed=cfg.seed, jobs=cfg.jobs, max_a=cfg.max_a,
     )
     prefix = cfg.out or "scan"
     write_scan_files(report, prefix)
@@ -164,9 +164,6 @@ def cmd_scan(args, cfg: Config) -> int:
         print(f"  {verdict}: {report.counts[verdict]}")
     if report.inconclusive:
         print("inconclusive a:", ", ".join(str(a) for a in report.inconclusive))
-    if report.prime_only_extra_inconclusive:
-        print("obstructed only through a composite divisor:",
-              ", ".join(str(a) for a in report.prime_only_extra_inconclusive))
     print(f"wrote {prefix}.jsonl and {prefix}.csv")
     return EXIT_OK
 
@@ -282,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="PRNG seed recorded into certificates")
     parser.add_argument("--max-a", type=int, default=None,
                         help="largest admissible a")
-    parser.add_argument("--oracle-level", choices=obstruction.ORACLE_LEVELS,
-                        default=None,
-                        help="when to confirm closed forms by factoring")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide one family member")
@@ -335,8 +329,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg.seed = args.seed
     if args.max_a is not None:
         cfg.max_a = args.max_a
-    if args.oracle_level is not None:
-        cfg.oracle_level = args.oracle_level
     if getattr(args, "jobs", None) is not None:
         cfg.jobs = args.jobs
     if getattr(args, "out", None) is not None:

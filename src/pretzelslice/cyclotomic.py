@@ -8,13 +8,14 @@ drive everything downstream:
 * is the factor count even?  (for odd prime d this is exactly whether p
   is a quadratic residue mod d)
 * does some irreducible factor coincide with its own reversal?  (for
-  odd prime d this is exactly whether -1 is a power of p mod d)
+  every d >= 3 this is exactly whether -1 is a power of p mod d; the
+  proof is in `has_self_reciprocal_factor`)
 
-Both are answered here by closed-form arithmetic, with the `factor`
-module available as an independent oracle.  For composite d the
-quadratic-residue shortcut is meaningless and the minus-one-power
-criterion, while believed to hold in wide generality, is treated as
-needing oracle confirmation whenever a decision rests on it.
+Both are answered here by closed-form arithmetic, for prime and
+composite d alike.  The oracle routes at the bottom answer the same
+questions by actually factoring; they serve tests, `inspect` and the
+re-verification of older certificates that state oracle evidence, and
+the decision pipeline never calls them.
 """
 
 from __future__ import annotations
@@ -163,10 +164,11 @@ class SelfReciprocalReport:
     """Evidence for/against a self-reciprocal irreducible factor.
 
     exists is decided by whether -1 lies in the powers of p mod d,
-    witnessed by w = ord/2 with p^w = -1 when it does.  The companion
-    route checks p^u mod d for u the odd part of phi(d); for prime d
-    the two must agree (and this is asserted), for composite d both
-    are recorded but only the minus-one-power route is trusted.
+    witnessed by w = ord/2 with p^w = -1 when it does (proved for every
+    d >= 3 in `has_self_reciprocal_factor`).  The companion route
+    checks p^u mod d for u the odd part of phi(d).  For prime d the two
+    agree (and this is asserted); for composite d the unit group need
+    not be cyclic and the odd-part route is only recorded.
     """
 
     d: int
@@ -182,6 +184,19 @@ class SelfReciprocalReport:
 
 def has_self_reciprocal_factor(q: CyclotomicQuery) -> SelfReciprocalReport:
     """Does the reduced cyclotomic have a self-reciprocal irreducible factor?
+
+    Yes iff -1 is a power of p mod d, for every d >= 3 with p not
+    dividing d.  Proof: Phi_d is separable mod p and its roots in an
+    extension of F_p are the primitive d-th roots of unity z^x, x in
+    (Z/d)^*.  Frobenius maps z^x to z^(px), so the irreducible factors
+    correspond to the cosets x<p> of <p> in (Z/d)^*, each of degree
+    ord_d(p) (whence the count phi(d)/ord_d(p)).  Reversal sends a
+    factor's roots to their inverses, that is the coset x<p> to
+    -x<p>.  A factor is self-reciprocal iff -x<p> = x<p>, iff -1 lies
+    in <p>; this does not depend on x, so one factor is
+    self-reciprocal iff all are.  Since d >= 3, -1 != 1 mod d and
+    -1 lies in <p> iff ord_d(p) = 2w is even with p^w = -1 mod d (the
+    unique element of order 2 in a cyclic group).
 
     >>> has_self_reciprocal_factor(CyclotomicQuery(3, 2)).exists
     True

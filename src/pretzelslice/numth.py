@@ -16,7 +16,9 @@ from typing import List, Tuple
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _LIMIT = 1 << 64
 
-_TRIAL_BOUND = 1_000_000
+# Trial division by primes below 2^16 fully factors every n < 2^32, which
+# covers a(a+2) for a below 65535; Brent's method finishes larger inputs.
+_TRIAL_BOUND = 1 << 16
 _small_primes: List[int] = []
 
 

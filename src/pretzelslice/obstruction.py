@@ -38,7 +38,6 @@ from .cyclotomic import (
     factor_count_oracle,
     has_self_reciprocal_factor,
     reduced,
-    self_reciprocal_factor_oracle,
 )
 from .poly import ModPoly
 
@@ -48,8 +47,6 @@ VERDICT_PARITY = "ObstructedParity"
 VERDICT_SELF_RECIPROCAL = "ObstructedSelfReciprocal"
 VERDICT_MOD_P = "ObstructedModP"
 VERDICT_INCONCLUSIVE = "Inconclusive"
-
-ORACLE_LEVELS = ("off", "composite", "always")
 
 TAG_PARITY = "legendre_parity"
 TAG_SELF_RECIPROCAL = "self_reciprocal_factor"
@@ -118,35 +115,32 @@ class PairOutcome:
     w: Optional[int]
     u_odd_part: Optional[int]
     power_at_u: Optional[int]
-    oracle_count: Optional[int]
-    oracle_sr_exists: Optional[bool]
-    oracle_sr_power: Optional[int]
-    oracle_sr_divisor: Optional[int]
-    oracle_sr_gcd_degree: Optional[int]
 
 
-def check_pair(
-    a: int,
-    pair: WitnessPair,
-    oracle_level: str = "composite",
-    seed: int = _factor.DEFAULT_SEED,
-) -> PairOutcome:
+def check_pair(a: int, pair: WitnessPair) -> PairOutcome:
     """Evaluate the two conditions for one pair, cheapest first.
 
-    Factor-count parity is checked before the self-reciprocal search.
-    The closed forms decide for prime d; for composite d the count
-    formula still applies but the self-reciprocal criterion is only
-    proven for primes, so there the answer is taken from the
-    factorization machinery itself (unless oracle_level is "off", in
-    which case the closed form is used and recorded as unconfirmed).
+    Factor-count parity is checked before the self-reciprocal
+    condition, both by closed form for every d: the count is
+    phi(d)/ord_d(p), and a self-reciprocal factor exists iff -1 is a
+    power of p mod d (both proved in `has_self_reciprocal_factor`).
+
+    Lemma (a): a composite d never fails unless some prime q | d fails
+    for the same p.  Phi_d is self-reciprocal, so reversal permutes its
+    factors mod p.  If the count for (p, d) is odd, this involution on
+    an odd set fixes a factor, so a self-reciprocal factor exists.  So
+    either failure gives -1 = p^k mod d for some k.  Reducing mod a
+    prime q | d gives -1 = p^k mod q (q is odd, as d | a(a+2)), so
+    (p, q) has a self-reciprocal factor and fails too.  Within each p
+    the prime divisors of a and of a+2 come before their composites in
+    the canonical order of `witness_pairs`, and q comes from the same
+    one of a, a+2 as d, so the first failing pair always has prime d.
 
     >>> check_pair(3, witness_pairs(3)[0]).status
     'parity_failed'
     >>> check_pair(15, WitnessPair(2, 17, True, "a+2")).status
     'self_reciprocal_failed'
     """
-    if oracle_level not in ORACLE_LEVELS:
-        raise ValueError(f"unknown oracle level {oracle_level!r}")
     knot = pretzel.PretzelKnot(a)
     if knot.half_a_plus_one % pair.p != 0:
         raise ValueError(f"p = {pair.p} does not divide (a+1)/2 for a = {a}")
@@ -154,58 +148,25 @@ def check_pair(
         raise ValueError(f"d = {pair.d} divides neither {a} nor {a + 2}")
     q = pair.query()
     count = count_irreducible_factors(q)
-    confirm = oracle_level == "always" or (
-        oracle_level == "composite" and not pair.d_is_prime
-    )
-    oracle_count = None
-    if confirm:
-        oracle_count = factor_count_oracle(q)
-        if oracle_count != count.count:  # pragma: no cover
-            raise ArithmeticError(
-                f"factor count mismatch for (p={pair.p}, d={pair.d}): "
-                f"closed form {count.count}, oracle {oracle_count}"
-            )
     common = dict(
         count=count.count,
         order=count.degree_each,
         parity=count.parity,
         legendre=count.legendre_check,
-        oracle_count=oracle_count,
     )
     if count.parity == "odd":
         return PairOutcome(
             pair, STATUS_PARITY, sr_exists=None, w=None, u_odd_part=None,
-            power_at_u=None, oracle_sr_exists=None, oracle_sr_power=None,
-            oracle_sr_divisor=None, oracle_sr_gcd_degree=None, **common,
+            power_at_u=None, **common,
         )
     sr = has_self_reciprocal_factor(q)
-    exists = sr.exists
-    osr: Optional[_factor.SelfReciprocalSearch] = None
-    if confirm:
-        osr = self_reciprocal_factor_oracle(q, seed)
-        if osr.exists != sr.exists:
-            if pair.d_is_prime:  # pragma: no cover
-                raise ArithmeticError(
-                    f"self-reciprocal criterion mismatch for prime d = {pair.d}"
-                )
-            log.warning(
-                "closed-form self-reciprocal criterion disagrees with the "
-                "factorization oracle for composite d = %d, p = %d; "
-                "trusting the oracle", pair.d, pair.p,
-            )
-        if not pair.d_is_prime:
-            exists = osr.exists
     return PairOutcome(
         pair,
-        STATUS_SELF_RECIPROCAL if exists else STATUS_PASS,
-        sr_exists=exists,
+        STATUS_SELF_RECIPROCAL if sr.exists else STATUS_PASS,
+        sr_exists=sr.exists,
         w=sr.w,
         u_odd_part=sr.u_odd_part,
         power_at_u=sr.power_at_u,
-        oracle_sr_exists=None if osr is None else osr.exists,
-        oracle_sr_power=None if osr is None else osr.power,
-        oracle_sr_divisor=None if osr is None else osr.divisor,
-        oracle_sr_gcd_degree=None if osr is None else osr.gcd_degree,
         **common,
     )
 
@@ -243,7 +204,6 @@ def _pair_evidence(out: PairOutcome) -> Dict:
         "order": out.order,
         "parity": out.parity,
         "legendre": out.legendre,
-        "oracle_count": out.oracle_count,
     }
     if out.sr_exists is not None:
         ev.update(
@@ -251,10 +211,6 @@ def _pair_evidence(out: PairOutcome) -> Dict:
             w=out.w,
             u_odd_part=out.u_odd_part,
             power_at_u=out.power_at_u,
-            oracle_sr_exists=out.oracle_sr_exists,
-            oracle_sr_power=out.oracle_sr_power,
-            oracle_sr_divisor=out.oracle_sr_divisor,
-            oracle_sr_gcd_degree=out.oracle_sr_gcd_degree,
         )
     return ev
 
@@ -298,20 +254,17 @@ def _fox_milnor_evidence(status: pretzel.FoxMilnorStatus) -> Dict:
 def decide(
     a: int,
     seed: int = _factor.DEFAULT_SEED,
-    oracle_level: str = "composite",
     max_a: int = pretzel.DEFAULT_MAX_A,
     all_witnesses: bool = False,
-    prime_d_only: bool = False,
 ) -> Certificate:
     """Full obstruction decision for one family member.
 
-    Pairs are checked in canonical order and the first failure wins;
-    if every pair passes, the mod-p Fox-Milnor test runs for each
-    prime p | (a+1)/2, and only if those also pass is the verdict
-    Inconclusive.  `all_witnesses` additionally collects every failing
-    pair into the evidence.  `prime_d_only` restricts the pair sweep
-    to prime d (used to report how much the composite divisors
-    matter).
+    Pairs are checked in canonical order by closed form (`check_pair`)
+    and the first failure wins; by Lemma (a) its d is prime.  If every
+    pair passes, the mod-p Fox-Milnor test runs for each prime
+    p | (a+1)/2, and only if those also pass is the verdict
+    Inconclusive.  No factorization oracle is called.  `all_witnesses`
+    additionally collects every failing pair into the evidence.
 
     >>> decide(3).verdict
     'ObstructedParity'
@@ -319,13 +272,11 @@ def decide(
     (2, 3)
     """
     pairs = witness_pairs(a, max_a)
-    if prime_d_only:
-        pairs = [w for w in pairs if w.d_is_prime]
     first_failure: Optional[PairOutcome] = None
     failures: List[Dict] = []
     passes: List[PairOutcome] = []
     for pair in pairs:
-        out = check_pair(a, pair, oracle_level, seed)
+        out = check_pair(a, pair)
         if out.status == STATUS_PASS:
             passes.append(out)
             continue
@@ -357,7 +308,7 @@ def decide(
         ev["note"] = "obstruction found only by the full factorization test"
         return Certificate(a, VERDICT_MOD_P, None, ev, tags, seed, __version__)
 
-    if tags and not prime_d_only:  # pragma: no cover
+    if tags:  # pragma: no cover
         raise ArithmeticError(
             f"a = {a} is covered by a residue case split but no obstruction "
             "was found; this contradicts a proven statement"
@@ -509,7 +460,6 @@ class ScanReport:
     rows: Tuple[ScanRow, ...]
     counts: Dict[str, int]
     inconclusive: Tuple[int, ...]
-    prime_only_extra_inconclusive: Tuple[int, ...]
     seed: int
     version: str
 
@@ -528,21 +478,14 @@ def _row_reason(cert: Certificate) -> str:
     return "all conditions hold; method silent"
 
 
-def _scan_one(args) -> Tuple[ScanRow, bool]:
-    a, seed, oracle_level, max_a = args
-    cert = decide(a, seed=seed, oracle_level=oracle_level, max_a=max_a)
+def _scan_one(args) -> ScanRow:
+    a, seed, max_a = args
+    cert = decide(a, seed=seed, max_a=max_a)
     w = cert.witness
-    row = ScanRow(
+    return ScanRow(
         a, cert.verdict, None if w is None else w.p, None if w is None else w.d,
         _row_reason(cert),
     )
-    # would restricting to prime divisors have weakened the verdict?
-    prime_only_differs = False
-    if w is not None and not w.d_is_prime:
-        alt = decide(a, seed=seed, oracle_level=oracle_level, max_a=max_a,
-                     prime_d_only=True)
-        prime_only_differs = alt.verdict == VERDICT_INCONCLUSIVE
-    return row, prime_only_differs
 
 
 def scan(
@@ -551,7 +494,6 @@ def scan(
     modulus: Optional[int] = None,
     residues: Optional[Sequence[int]] = None,
     seed: int = _factor.DEFAULT_SEED,
-    oracle_level: str = "composite",
     jobs: int = 1,
     max_a: int = pretzel.DEFAULT_MAX_A,
 ) -> ScanReport:
@@ -559,7 +501,9 @@ def scan(
 
     The optional filter keeps only a with a mod modulus in residues.
     Rows are ordered by a regardless of worker scheduling, so reports
-    are byte-stable for a fixed configuration.
+    are byte-stable for a fixed configuration.  Each a costs one
+    `decide`, and a row's witness d, when there is one, is prime
+    (Lemma (a) in `check_pair`).
     """
     if lo < 3 or hi < lo:
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
@@ -578,20 +522,18 @@ def scan(
         a for a in range(lo | 1, hi + 1, 2)
         if rset is None or a % modulus in rset
     ]
-    work = [(a, seed, oracle_level, max_a) for a in targets]
+    work = [(a, seed, max_a) for a in targets]
     if jobs == 1:
-        results = [_scan_one(args) for args in work]
+        rows = tuple(_scan_one(args) for args in work)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_one, work, chunksize=8))
-    rows = tuple(r for r, _ in results)
+            rows = tuple(pool.map(_scan_one, work, chunksize=8))
     counts: Dict[str, int] = {}
     for r in rows:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
     inconclusive = tuple(r.a for r in rows if r.verdict == VERDICT_INCONCLUSIVE)
-    extra = tuple(r.a for (r, diff) in results if diff)
     return ScanReport(
-        lo, hi, modulus, rset, rows, counts, inconclusive, extra, seed, __version__
+        lo, hi, modulus, rset, rows, counts, inconclusive, seed, __version__
     )
 
 
@@ -742,7 +684,6 @@ class _Verifier:
         count, order = self._recount(p, d)
         self.expect(count % 2 == 0, "pair should have passed parity first")
         w = _as_opt_int(ev.get("w"), "w")
-        d_prime = numth.is_prime(d)
         if w is not None:
             self.expect(order % 2 == 0 and w == order // 2,
                         f"w = {w} is not half the order {order}")
@@ -751,18 +692,18 @@ class _Verifier:
             stated = _as_opt_int(ev.get("power_at_w"), "power_at_w")
             if stated is not None:
                 self.expect(stated == got, "stated power at w is wrong")
-        elif d_prime:
-            self.flag("prime-d self-reciprocal verdict without the exponent w")
-        if not d_prime or ev.get("oracle_sr_exists") is not None:
-            self._reverify_sr_oracle(ev, p, d, require=not d_prime)
+        else:
+            self.flag("self-reciprocal verdict without the exponent w")
+        if ev.get("oracle_sr_exists") is not None:
+            self._reverify_sr_oracle(ev, p, d)
 
-    def _reverify_sr_oracle(self, ev: Dict, p: int, d: int, require: bool):
+    def _reverify_sr_oracle(self, ev: Dict, p: int, d: int):
+        # oracle evidence is emitted only by certificates before 0.2.0
         m = _as_opt_int(ev.get("oracle_sr_power"), "oracle_sr_power")
         g = _as_opt_int(ev.get("oracle_sr_divisor"), "oracle_sr_divisor")
         deg = _as_opt_int(ev.get("oracle_sr_gcd_degree"), "oracle_sr_gcd_degree")
         if m is None or g is None or deg is None:
-            if require:
-                self.flag(f"composite d = {d} verdict lacks oracle evidence")
+            self.flag(f"oracle evidence for d = {d} is incomplete")
             return
         self.expect(math.gcd(pow(p, m, d) + 1, d) == g and g > 2,
                     f"stated divisor {g} does not match gcd(p^{m}+1, {d})")
@@ -828,15 +769,18 @@ class _Verifier:
             if numth.is_prime(d):
                 self.expect(numth.legendre(p, d) == 1,
                             f"legendre({p},{d}) should be 1 for an even count")
-                order_even_sr = order % 2 == 0 and pow(p, order // 2, d) == d - 1
-                self.expect(e.get("sr_exists") is False and not order_even_sr,
-                            f"pair (p={p}, d={d}) has a palindromic factor")
-            else:
-                self.expect(e.get("sr_exists") is False,
-                            f"pair (p={p}, d={d}) marked as having a factor")
-                search = self_reciprocal_factor_oracle(CyclotomicQuery(d, p))
-                self.expect(search.exists is False,
-                            f"oracle finds a palindromic factor at (p={p}, d={d})")
+            sr = order % 2 == 0 and pow(p, order // 2, d) == d - 1
+            self.expect(e.get("sr_exists") is False and not sr,
+                        f"pair (p={p}, d={d}) has a palindromic factor")
+            # 0.1.0 pairs may state oracle results; the closed forms are
+            # proved equal to them, so they are checked without factoring
+            oc = _as_opt_int(e.get("oracle_count"), "oracle_count")
+            deg = _as_opt_int(e.get("oracle_sr_gcd_degree"), "oracle_sr_gcd_degree")
+            self.expect(oc in (None, count) and deg in (None, 0)
+                        and e.get("oracle_sr_exists") in (None, False)
+                        and e.get("oracle_sr_power") is None
+                        and e.get("oracle_sr_divisor") is None,
+                        f"stated oracle result at (p={p}, d={d}) is wrong")
         fm = ev.get("fox_milnor")
         if not self.expect(isinstance(fm, list) and fm, "missing Fox-Milnor block"):
             return

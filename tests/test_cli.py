@@ -186,17 +186,33 @@ def test_bad_config_file(tmp_path, capsys, monkeypatch):
     assert code == 2 and err
     monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / "missing.json"))
     assert run(capsys, "check", "3")[0] == 2
-    # values that int() would silently coerce, and an unknown enum value
+    # values that int() would silently coerce, and out-of-range values
     monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
     for bad in ({"jobs": 2.7}, {"seed": True}, {"max_a": "9.5"}, {"jobs": "two"},
-                {"seed": None}, {"oracle_level": "sometimes"}, {"oracle_level": 1}):
+                {"seed": None}, {"jobs": 0}, {"jobs": "-1"}, {"max_a": 2}):
         cfg.write_text(json.dumps(bad))
         code, _, err = run(capsys, "check", "3")
         assert code == 2 and "bad config" in err, bad
-    cfg.write_text(json.dumps({"jobs": 2, "seed": "7", "max_a": 999,
-                               "oracle_level": "always"}))
-    assert cli.load_config() == cli.Config(max_a=999, seed=7, jobs=2,
-                                            oracle_level="always")
+    # unknown keys are named, including the removed oracle_level
+    for bad, names in (({"oracle_level": "always"}, ("'oracle_level'",)),
+                       ({"sede": 7, "jobz": 2, "seed": 7}, ("'jobz'", "'sede'"))):
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "check", "3")
+        assert code == 2 and "unknown config key" in err, bad
+        assert all(name in err for name in names), err
+    cfg.write_text(json.dumps({"jobs": 2, "seed": "7", "max_a": 999, "out": "x"}))
+    assert cli.load_config() == cli.Config(max_a=999, seed=7, jobs=2, out="x")
+
+
+def test_removed_oracle_level_flag_is_a_usage_error(capsys):
+    for argv in (["--oracle-level", "always", "check", "3"],
+                 ["--oracle-level=always", "check", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:"), err
+    assert "unrecognized arguments: --oracle-level=always" in err
 
 
 def test_usage_without_subcommand():

@@ -56,6 +56,14 @@ def test_factorize_reconstructs_random_inputs():
         assert list(f.primes) == sorted(f.primes)
 
 
+def test_factorize_beyond_the_trial_bound():
+    # both primes exceed the trial-division bound, so Brent's method splits n
+    assert 65537 > numth._TRIAL_BOUND
+    n = 65537 * 1000003
+    assert numth.factorize(n).pairs == ((65537, 1), (1000003, 1))
+    assert numth.factorize(n * 65537 * 3).pairs == ((3, 1), (65537, 2), (1000003, 1))
+
+
 def test_totient_and_divisors():
     assert numth.totient(numth.factorize(1)) == 1
     assert numth.totient(numth.factorize(63)) == 36

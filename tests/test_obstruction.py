@@ -6,7 +6,15 @@ import logging
 import pytest
 
 from pretzelslice import numth, obstruction as ob, pretzel
-from pretzelslice.cyclotomic import CyclotomicQuery, has_self_reciprocal_factor
+from pretzelslice.cyclotomic import (
+    CyclotomicQuery,
+    count_irreducible_factors,
+    factor_count_oracle,
+    has_self_reciprocal_factor,
+    self_reciprocal_factor_oracle,
+)
+
+SURVIVORS = (1081, 3577, 11257, 12457, 12841, 14617, 17521, 17881)
 
 
 def pairs_of(a):
@@ -62,19 +70,53 @@ def test_check_pair_validates_membership():
         ob.check_pair(3, ob.WitnessPair(3, 3, True, "a"))  # 3 does not divide 2
     with pytest.raises(ValueError):
         ob.check_pair(3, ob.WitnessPair(2, 7, True, "a"))  # 7 divides neither
-    with pytest.raises(ValueError):
-        ob.check_pair(3, ob.witness_pairs(3)[0], oracle_level="sometimes")
 
 
-def test_check_pair_oracle_levels():
-    w_comp = ob.WitnessPair(2, 9, False, "a+2")
-    off = ob.check_pair(7, w_comp, oracle_level="off")
-    assert off.oracle_count is None
-    conf = ob.check_pair(7, w_comp, oracle_level="composite")
-    assert conf.oracle_count == conf.count
-    w_prime = ob.witness_pairs(3)[0]
-    assert ob.check_pair(3, w_prime, oracle_level="composite").oracle_count is None
-    assert ob.check_pair(3, w_prime, oracle_level="always").oracle_count == 1
+def test_decision_never_calls_the_oracles(oracles_raise):
+    out = ob.check_pair(31, ob.WitnessPair(2, 33, False, "a+2"))
+    assert out.status == "self_reciprocal_failed"
+    assert (out.count, out.w) == (2, 5)  # 2^5 = -1 mod 33
+    out = ob.check_pair(15, ob.WitnessPair(2, 15, False, "a"))
+    assert (out.status, out.count, out.sr_exists) == ("pass", 2, False)
+    cert = ob.decide(1081)
+    assert cert.verdict == "Inconclusive"
+    assert any(not e["d_is_prime"] for e in cert.evidence["pairs"])
+
+
+def _fails(p, d):
+    q = CyclotomicQuery(d, p)
+    return count_irreducible_factors(q).parity == "odd" or has_self_reciprocal_factor(q).exists
+
+
+def test_composite_d_is_never_the_first_failure():
+    # Lemma (a) in check_pair: whenever (p, d) fails for odd composite d,
+    # some prime q | d fails for the same p
+    primes = [p for p in range(2, 51) if numth.is_prime(p)]
+    pairs = failing = 0
+    for d in range(9, 3001, 2):
+        if numth.is_prime(d):
+            continue
+        qs = numth.factorize(d).primes
+        for p in primes:
+            if d % p == 0:
+                continue
+            pairs += 1
+            if _fails(p, d):
+                failing += 1
+                assert any(_fails(p, q) for q in qs), (p, d)
+    assert (pairs, failing) == (14322, 2281)
+
+
+def test_closed_form_matches_the_oracles_on_survivor_composites():
+    # the cross-check decide made at run time before 0.2.0, over every
+    # composite-d pair in the witness lists of the 8 survivors
+    queries = [w.query() for a in SURVIVORS for w in ob.witness_pairs(a)
+               if not w.d_is_prime]
+    assert len(queries) == 47
+    for q in queries:
+        assert count_irreducible_factors(q).count == factor_count_oracle(q), q
+        assert (has_self_reciprocal_factor(q).exists
+                == self_reciprocal_factor_oracle(q).exists), q
 
 
 def test_theorem_tags():
