@@ -13,7 +13,8 @@ from "broken input" in shell pipelines.
 
 Defaults can be overridden by a JSON config file named by the
 PRETZELSLICE_CONFIG environment variable (keys: seed, jobs, max_a,
-out; any other key is an error); explicit flags always win.
+out; any other key is an error); explicit flags always win, and the
+merged values are range-checked once, whichever source they came from.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ def load_config() -> Config:
     for key in ("max_a", "seed", "jobs"):
         if key in data:
             setattr(cfg, key, _config_int(key, data[key]))
-    if cfg.jobs < 1:
-        raise ValueError(f"config key 'jobs' must be >= 1, got {cfg.jobs}")
-    if cfg.max_a < 3:
-        raise ValueError(f"config key 'max_a' must be >= 3, got {cfg.max_a}")
     if "out" in data:
         cfg.out = str(data["out"])
     return cfg
@@ -114,8 +111,6 @@ def cmd_check(args, cfg: Config) -> int:
     )
     if cert.witness is not None:
         detail = f"witness (p={cert.witness.p}, d={cert.witness.d})"
-    elif cert.verdict == obstruction.VERDICT_MOD_P:
-        detail = f"mod-{cert.evidence['p']} factorization"
     else:
         detail = "no obstruction from this method"
     print(f"a={cert.a}: {cert.verdict} [{detail}]")
@@ -193,20 +188,12 @@ def _inspect_alexander(args, cfg: Config) -> int:
     status = pretzel.fox_milnor_status(args.a, args.p, cfg.seed, max_a=cfg.max_a)
     delta_bar = pretzel.alexander_mod_p(args.a, args.p, cfg.max_a)
     print(f"Delta_{args.a}(t) mod {args.p} = {delta_bar}")
-    if status.route == "direct":
-        print("factorization:")
-        for g, m in status.multiset:
-            mark = " [self-reciprocal]" if g.is_self_reciprocal() else ""
-            odd = " <- odd multiplicity" if m % 2 == 1 and g.is_self_reciprocal() else ""
-            expo = f"^{m}" if m > 1 else ""
-            print(f"  ({g}){expo}{mark}{odd}")
-    else:
-        print("cyclotomic parts (degree too large for a full listing):")
-        for c in status.parts:
-            state = "has a self-reciprocal factor" if c.exists else "clean"
-            print(f"  d={c.d} (divides {c.source}): {state}")
-        for g, m in status.offenders:
-            print(f"  offending factor ({g})^{m}")
+    print(f"cyclotomic parts Phi_d(-t) (`inspect cyclotomic D {args.p}` factors Phi_d):")
+    for c in status.parts:
+        state = "has a self-reciprocal factor" if c.exists else "clean"
+        print(f"  d={c.d} (divides {c.source}): {state}")
+    for g, m in status.offenders:
+        print(f"  offending factor ({g})^{m}")
     verdict = "admits" if status.admits else "does not admit"
     print(f"the reduction {verdict} a Fox-Milnor style factorization")
     return EXIT_OK
@@ -322,17 +309,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config()
+        for key in ("seed", "max_a", "jobs", "out"):
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
+        if cfg.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
+        if cfg.max_a < 3:
+            raise ValueError(f"max_a must be >= 3, got {cfg.max_a}")
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print(f"bad config: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.max_a is not None:
-        cfg.max_a = args.max_a
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
     try:
         if args.command == "check":
             return cmd_check(args, cfg)

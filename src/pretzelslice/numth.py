@@ -260,18 +260,3 @@ def valuation(n: int, q: int) -> Valuation:
         n //= q
         v += 1
     return Valuation(v, n)
-
-
-def lifted_residue_is_one(n: int, d: int, l: int) -> bool:
-    """Whether n^(d^(l-1)) is 1 modulo d^l, for n = 1 (mod d), d prime.
-
-    This is the congruence-lifting step used when a self-reciprocal
-    witness is pushed down from a prime power to the prime itself.
-    """
-    if l < 1:
-        raise ValueError("exponent level l must be >= 1")
-    if not is_prime(d):
-        raise ValueError(f"{d} is not prime")
-    if n % d != 1:
-        raise ValueError(f"{n} is not 1 modulo {d}")
-    return pow(n, d ** (l - 1), d**l) == 1

@@ -4,9 +4,12 @@ For an odd a >= 3, every prime p dividing (a+1)/2 and every divisor
 d > 1 of a or of a+2 yields a pair (p, d) whose reduced cyclotomic
 must, if the knot were slice, have an even factor count and no
 self-reciprocal irreducible factor.  `decide` walks the pairs in a
-canonical order, falls back to the full mod-p Fox-Milnor test when
-every pair passes, and wraps the outcome in a certificate carrying
-enough numeric evidence to be re-verified from scratch.
+canonical order and wraps the outcome in a certificate carrying
+enough numeric evidence to be re-verified from scratch.  When every
+pair passes, the mod-p Fox-Milnor test is silent too: by Lemma (b)
+(proved in `pretzel.fox_milnor_status`) it asks each part C_d mod p
+the same question the pairs already answered, and the verdict is
+Inconclusive.
 
 The two residue-class constructions that make the published case
 splits effective are exposed as `parity_witness` (a = 3,5 mod 8 or
@@ -16,13 +19,12 @@ cyclotomic contains a palindromic irreducible factor, found via the
 odd part of phi(a(a+2))).
 
 `scan` sweeps a range and reports one row per a; `verify_certificate`
-recomputes every number in a certificate without rerunning the
-decision search.
+recomputes every number in a certificate by arithmetic on (p, d),
+without rerunning the decision search or factoring a polynomial.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,11 +43,8 @@ from .cyclotomic import (
 )
 from .poly import ModPoly
 
-log = logging.getLogger(__name__)
-
 VERDICT_PARITY = "ObstructedParity"
 VERDICT_SELF_RECIPROCAL = "ObstructedSelfReciprocal"
-VERDICT_MOD_P = "ObstructedModP"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 TAG_PARITY = "legendre_parity"
@@ -234,21 +233,15 @@ def _failure_certificate(
 
 
 def _fox_milnor_evidence(status: pretzel.FoxMilnorStatus) -> Dict:
-    ev: Dict = {
+    # "route" and "squarefree" keep the 0.2.0 format; both are constant
+    # since the part-by-part route is the only one (Lemma (b))
+    return {
         "p": status.p,
         "admits": status.admits,
-        "route": status.route,
-        "squarefree": status.squarefree,
+        "route": "structured",
+        "squarefree": True,
+        "parts": [{"d": c.d, "source": c.source, "exists": c.exists} for c in status.parts],
     }
-    if status.route == "structured":
-        ev["parts"] = [
-            {"d": c.d, "source": c.source, "exists": c.exists} for c in status.parts
-        ]
-    if status.offenders:
-        g, m = status.offenders[0]
-        ev["factor"] = list(g.coeffs)
-        ev["multiplicity"] = m
-    return ev
 
 
 def decide(
@@ -261,10 +254,14 @@ def decide(
 
     Pairs are checked in canonical order by closed form (`check_pair`)
     and the first failure wins; by Lemma (a) its d is prime.  If every
-    pair passes, the mod-p Fox-Milnor test runs for each prime
-    p | (a+1)/2, and only if those also pass is the verdict
-    Inconclusive.  No factorization oracle is called.  `all_witnesses`
-    additionally collects every failing pair into the evidence.
+    pair passes, the mod-p Fox-Milnor status of each prime p | (a+1)/2
+    is recorded and the verdict is Inconclusive.  By Lemma (b) (in
+    `pretzel.fox_milnor_status`) that status asks each part C_d mod p
+    whether it has a self-reciprocal factor, which the passing pairs
+    have already ruled out, so it always admits; a status that does
+    not contradicts the lemma and raises ArithmeticError.  No
+    polynomial is factored or searched.  `all_witnesses` additionally
+    collects every failing pair into the evidence.
 
     >>> decide(3).verdict
     'ObstructedParity'
@@ -294,20 +291,13 @@ def decide(
         pretzel.fox_milnor_status(a, p, seed, max_a=max_a)
         for p in pretzel.PretzelKnot(a).reduction_primes()
     ]
-    tags = theorem_tags(a)
-    bad = [s for s in statuses if not s.admits]
+    bad = [s.p for s in statuses if not s.admits]
     if bad:
-        st = bad[0]
-        log.warning(
-            "mod-%d Fox-Milnor obstruction for a = %d without a closed-form "
-            "witness pair; this case split is not covered by the residue "
-            "arguments", st.p, a,
+        raise ArithmeticError(
+            f"a = {a}: every pair passes but the reduction mod {bad[0]} does "
+            "not admit a Fox-Milnor factorization; this contradicts Lemma (b)"
         )
-        ev = _fox_milnor_evidence(st)
-        ev["kind"] = "fox_milnor"
-        ev["note"] = "obstruction found only by the full factorization test"
-        return Certificate(a, VERDICT_MOD_P, None, ev, tags, seed, __version__)
-
+    tags = theorem_tags(a)
     if tags:  # pragma: no cover
         raise ArithmeticError(
             f"a = {a} is covered by a residue case split but no obstruction "
@@ -473,8 +463,6 @@ def _row_reason(cert: Certificate) -> str:
             f"p^{ev['w']} = -1 mod d forces a palindromic factor for "
             f"(p={ev['p']}, d={ev['d']})"
         )
-    if cert.verdict == VERDICT_MOD_P:
-        return f"odd-multiplicity palindromic factor mod {ev['p']}"
     return "all conditions hold; method silent"
 
 
@@ -612,8 +600,7 @@ class _Verifier:
         a = _as_int(data.get("a"), "a")
         pretzel.validate_member(a, self.max_a)
         verdict = data.get("verdict")
-        known = (VERDICT_PARITY, VERDICT_SELF_RECIPROCAL, VERDICT_MOD_P,
-                 VERDICT_INCONCLUSIVE)
+        known = (VERDICT_PARITY, VERDICT_SELF_RECIPROCAL, VERDICT_INCONCLUSIVE)
         if not self.expect(verdict in known, f"unknown verdict {verdict!r}"):
             return False
         tags = tuple(data.get("theorem_tags") or ())
@@ -630,8 +617,6 @@ class _Verifier:
                 self._verify_parity(a, ev)
             else:
                 self._verify_self_reciprocal(a, ev)
-        elif verdict == VERDICT_MOD_P:
-            self._verify_fox_milnor_failure(a, ev)
         else:
             self._verify_inconclusive(a, ev)
         return not self.problems
@@ -712,42 +697,6 @@ class _Verifier:
         self.expect(part.degree == deg and deg > 0,
                     f"gcd with t^{g}-1 has degree {part.degree}, stated {deg}")
 
-    def _verify_fox_milnor_failure(self, a: int, ev: Dict):
-        p = _as_int(ev.get("p"), "p")
-        coeffs = ev.get("factor")
-        if not self.expect(isinstance(coeffs, list) and coeffs,
-                           "missing offending factor"):
-            return
-        h = ModPoly(p, [_as_int(c, "factor coefficient") for c in coeffs])
-        mult = _as_int(ev.get("multiplicity"), "multiplicity")
-        self.expect(mult % 2 == 1, "stated multiplicity is even")
-        self.expect(h.is_self_reciprocal(), "offending factor is not palindromic")
-        delta = pretzel.alexander_mod_p(a, p, self.max_a)
-        got = 0
-        rem = delta
-        while True:
-            q, r = rem.divrem(h)
-            if not r.is_zero():
-                break
-            rem = q
-            got += 1
-        self.expect(got == mult, f"multiplicity re-verifies to {got}, stated {mult}")
-        self._check_factor_irreducible(a, h, p)
-
-    def _check_factor_irreducible(self, a: int, h: ModPoly, p: int):
-        # locate the cyclotomic part the factor lives in, then use the
-        # cheap cyclic irreducibility test
-        for n in (a, a + 2):
-            for d in numth.divisors(numth.factorize(n))[1:]:
-                part = reduced(CyclotomicQuery(d, p)).substitute_neg().monic()
-                if part.divrem(h)[1].is_zero():
-                    hn = h.substitute_neg().monic()
-                    cyc = d if p == 2 else 2 * d
-                    self.expect(_factor.is_irreducible_cyclic(hn, cyc),
-                                "offending factor is not irreducible")
-                    return
-        self.flag("offending factor divides no cyclotomic part")
-
     def _verify_inconclusive(self, a: int, ev: Dict):
         stated_pairs = ev.get("pairs")
         if not self.expect(isinstance(stated_pairs, list), "missing pair list"):
@@ -781,27 +730,44 @@ class _Verifier:
                         and e.get("oracle_sr_power") is None
                         and e.get("oracle_sr_divisor") is None,
                         f"stated oracle result at (p={p}, d={d}) is wrong")
+        # The pairs above cover every part index d > 1 of a and of a+2
+        # for every prime p, and none has a self-reciprocal factor.  By
+        # Lemma (b) (in `pretzel.fox_milnor_status`) each reduction is
+        # the squarefree product of those parts, so it admits, and its
+        # block must state exactly that.
         fm = ev.get("fox_milnor")
-        if not self.expect(isinstance(fm, list) and fm, "missing Fox-Milnor block"):
+        if not self.expect(isinstance(fm, list) and fm
+                           and all(isinstance(s, dict) for s in fm),
+                           "missing Fox-Milnor block"):
             return
         stated_ps = [_as_int(s.get("p"), "p") for s in fm]
         knot = pretzel.PretzelKnot(a)
         self.expect(tuple(stated_ps) == knot.reduction_primes(),
                     "Fox-Milnor block does not cover every prime")
-        for s in fm:
-            p = _as_int(s.get("p"), "p")
+        expected = [(d, source) for n, source in ((a, "a"), (a + 2, "a+2"))
+                    for d in numth.divisors(numth.factorize(n))[1:]]
+        for p, s in zip(stated_ps, fm):
             self.expect(s.get("admits") is True, f"stated non-admitting p = {p}")
-            status = pretzel.fox_milnor_status(a, p, max_a=self.max_a)
-            self.expect(status.admits, f"Fox-Milnor re-verification fails at p = {p}")
+            self.expect(s.get("route") == "structured" and s.get("squarefree") is True,
+                        f"Fox-Milnor block at p = {p} states another route")
+            parts = s.get("parts")
+            ok = isinstance(parts, list) and all(isinstance(c, dict) for c in parts)
+            self.expect(ok and [(_as_int(c.get("d"), "part d"), c.get("source"))
+                                for c in parts] == expected
+                        and all(c.get("exists") is False for c in parts),
+                        f"Fox-Milnor parts at p = {p} are not the clean parts of a, a+2")
 
 
 def verify_certificate(data: Dict, max_a: int = pretzel.DEFAULT_MAX_A) -> Tuple[bool, List[str]]:
     """Recompute a certificate's evidence; (ok, list of discrepancies).
 
-    Works from the JSON dict alone: closed-form quantities are
-    recomputed from (a, p, d), gcd certificates are recomputed from
-    their stated exponents, and stated factors are divided back in.
-    The original decision search is never rerun.
+    Works from the JSON dict alone, by arithmetic on (a, p, d) for
+    every verdict: orders, totients, Legendre symbols and the
+    self-reciprocal criterion are recomputed, and the Fox-Milnor block
+    of an Inconclusive certificate is checked against Lemma (b).  The
+    original decision search is never rerun and no polynomial is
+    factored, except that 0.1.0 certificates stating oracle evidence
+    for their witness pair have that evidence recomputed.
     """
     v = _Verifier(data, max_a)
     try:

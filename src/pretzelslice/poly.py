@@ -389,25 +389,5 @@ class ModPoly:
         ).canonical()
 
 
-# Module-level spellings of the associate-class operations; handy when the
-# subject reads better as a function than as a method chain.
-
-
-def canonicalize(raw_coeffs: Iterable[int], lowest_exponent: int = 0) -> IntPoly:
-    """Canonical associate of sum(raw_coeffs[i] * t^(lowest_exponent+i)).
-
-    The Laurent offset only shifts by a unit, so it never changes the
-    answer; it is accepted so callers holding Laurent data do not have
-    to normalize first.
-    """
-    if not isinstance(lowest_exponent, int):
-        raise TypeError("lowest_exponent must be an integer")
-    return IntPoly(raw_coeffs).canonical()
-
-
-def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
-    return num.exact_div(den)
-
-
 def reduce_mod(f: IntPoly, p: int) -> ModPoly:
     return f.reduce_mod(p)

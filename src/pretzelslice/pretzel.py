@@ -1,41 +1,35 @@
 """Alexander polynomials for the pretzel knots P(a, -a-2, -(a+1)^2/2).
 
 The polynomial is never computed from a diagram.  `alexander_poly`
-evaluates two closed forms and requires them to agree exactly:
+evaluates the closed form
 
     (t^(a+2) + 1)(t^a + 1) / (t + 1)^2  -  ((a+1)^2/4) t^(a-1) (t-1)^2
 
-and the same expression with the left product replaced by the product
-of C_d(-t) over all divisors d > 1 of a and of a + 2, where C_d is the
-d-th cyclotomic polynomial.  For a prime p dividing (a+1)/2 the
-correction term vanishes mod p; `alexander_mod_p` builds the reduction
-as the product of reduced cyclotomics and asserts that it equals the
+The left quotient equals the product of C_d(-t) over all divisors
+d > 1 of a and of a + 2, where C_d is the d-th cyclotomic polynomial;
+the tests compare the two forms.  For a prime p dividing (a+1)/2 the
+correction term vanishes mod p, and `alexander_mod_p` is the
 coefficient reduction of the integer polynomial.
 
-Lemma (b) (proved in `fox_milnor_status`): that reduction is squarefree
-and its parts C_d(-t) are pairwise coprime.  The Fox-Milnor test on it
-has two routes.  The direct route builds the reduction and fully
-factors it.  The structured route never builds it: by the lemma the
-reduction admits a Fox-Milnor factorization iff no cyclotomic part has
-a self-reciprocal irreducible factor, so it asks each part alone.  Both
-decide the same predicate; the degree cutoff is purely a cost choice.
+Lemma (b) (proved in `fox_milnor_status`): that reduction is the
+squarefree product of its pairwise coprime parts C_d(-t).  So it
+admits a Fox-Milnor factorization iff no part has a self-reciprocal
+irreducible factor, and `fox_milnor_status` decides each part by
+closed form, without building the reduction.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from . import factor as _factor
 from . import numth
-from .cyclotomic import cyclotomic_poly
+from .cyclotomic import CyclotomicQuery, has_self_reciprocal_factor, reduced
 from .poly import IntPoly, ModPoly, reduce_mod
 
 DEFAULT_MAX_A = 200_000
-
-# degree bound below which the direct (full-factorization) route is default
-DIRECT_ROUTE_MAX_DEGREE = 1200
 
 
 @dataclass(frozen=True)
@@ -89,15 +83,6 @@ def _alexander_cached(a: int) -> IntPoly:
         IntPoly((1, 2, 1))
     )
     delta = quotient - _correction_term(a)
-
-    product = IntPoly((1,))
-    for n in (a, a + 2):
-        for d in _divisors_over_one(n):
-            product = product * cyclotomic_poly(d).substitute_neg()
-    delta_again = product - _correction_term(a)
-    if delta != delta_again:  # pragma: no cover
-        raise ArithmeticError(f"closed forms disagree at a = {a}")
-
     if delta.degree != 2 * a:  # pragma: no cover
         raise ArithmeticError(f"degree {delta.degree} != 2a at a = {a}")
     if not delta.is_self_reciprocal():  # pragma: no cover
@@ -110,9 +95,8 @@ def _alexander_cached(a: int) -> IntPoly:
 def alexander_poly(a: int, max_a: int = DEFAULT_MAX_A) -> IntPoly:
     """The Alexander polynomial of P(a, -a-2, -(a+1)^2/2), canonical form.
 
-    Both closed forms are computed and compared, and the standard
-    sanity properties (degree 2a, palindromic, |value| 1 at t = +/-1)
-    are enforced.
+    The standard sanity properties (degree 2a, palindromic, |value| 1
+    at t = +/-1) are enforced.
 
     >>> alexander_poly(3)
     IntPoly((1, -2, -1, 5, -1, -2, 1))
@@ -132,89 +116,47 @@ def _validate_reduction(a: int, p: int, max_a: int) -> None:
 def alexander_mod_p(a: int, p: int, max_a: int = DEFAULT_MAX_A) -> ModPoly:
     """Reduction mod p of the Alexander polynomial, for p | (a+1)/2.
 
-    Computed as the product of the reduced cyclotomics C_d(-t) over
-    d > 1 dividing a or a + 2, and asserted equal to the coefficient
-    reduction of the integer polynomial (the correction term has
-    coefficient divisible by p^2, so it drops out).
+    The coefficient reduction of the integer polynomial; it equals the
+    product of the reduced cyclotomics C_d(-t) over d > 1 dividing a or
+    a + 2, because the correction term has coefficients divisible by
+    p^2 and drops out.
 
     >>> str(alexander_mod_p(3, 2))
     '1 + t^2 + t^3 + t^4 + t^6'
     """
     _validate_reduction(a, p, max_a)
-    product = ModPoly(p, (1,))
-    for n in (a, a + 2):
-        for d in _divisors_over_one(n):
-            product = product * reduce_mod(cyclotomic_poly(d), p).substitute_neg()
-    direct = reduce_mod(_alexander_cached(a), p)
-    if product != direct:  # pragma: no cover
-        raise ArithmeticError(f"product form differs from reduction at a = {a}, p = {p}")
-    return product
+    return reduce_mod(_alexander_cached(a), p)
 
 
 @dataclass(frozen=True)
 class PartCheck:
-    """Self-reciprocal-factor search outcome for one cyclotomic part."""
+    """Whether one cyclotomic part C_d mod p has a self-reciprocal factor."""
 
     d: int
     source: str  # "a" or "a+2"
     exists: bool
-    power: Optional[int]
-    divisor: Optional[int]
-    gcd_degree: int
 
 
 @dataclass(frozen=True)
 class FoxMilnorStatus:
-    """Fox-Milnor verdict for one reduction, with route-specific evidence.
+    """Fox-Milnor verdict for one reduction, decided part by part.
 
-    offenders lists self-reciprocal irreducible factors of the
-    reduction with odd multiplicity (each with its multiplicity);
-    nonempty exactly when admits is False.
+    offenders lists exhibited self-reciprocal irreducible factors of the
+    reduction (each with its multiplicity, which Lemma (b) makes 1);
+    nonempty only when admits is False.
     """
 
     a: int
     p: int
     admits: bool
-    route: str
-    squarefree: bool
     offenders: Tuple[Tuple[ModPoly, int], ...]
     parts: Tuple[PartCheck, ...]
-    multiset: Optional[_factor.FactorMultiset]
-
-
-def _structured_status(a: int, p: int, seed: int, max_a: int) -> FoxMilnorStatus:
-    parts = []
-    offenders = []
-    delta_bar = None
-    for n, source in ((a, "a"), (a + 2, "a+2")):
-        for d in _divisors_over_one(n):
-            if d % p == 0:
-                raise ArithmeticError(f"p = {p} divides the part index d = {d}")
-            part = reduce_mod(cyclotomic_poly(d), p)
-            got = _factor.self_reciprocal_search(part, d, seed, exhibit_cap=0)
-            parts.append(PartCheck(d, source, got.exists, got.power, got.divisor, got.gcd_degree))
-            if got.exists:
-                # rare path: extract the factor so the verdict carries proof
-                shown = _factor.self_reciprocal_search(part, d, seed)
-                h = shown.factor
-                if h is not None:
-                    h = h.substitute_neg().monic()
-                    if delta_bar is None:
-                        delta_bar = alexander_mod_p(a, p, max_a)
-                    if not delta_bar.divrem(h)[1].is_zero():  # pragma: no cover
-                        raise ArithmeticError("offending factor does not divide the reduction")
-                    offenders.append((h, 1))
-    admits = not any(c.exists for c in parts)
-    return FoxMilnorStatus(
-        a, p, admits, "structured", True, tuple(offenders), tuple(parts), None
-    )
 
 
 def fox_milnor_status(
     a: int,
     p: int,
     seed: int = _factor.DEFAULT_SEED,
-    route: str = "auto",
     max_a: int = DEFAULT_MAX_A,
 ) -> FoxMilnorStatus:
     """Does the mod-p Alexander reduction admit a Fox-Milnor factorization?
@@ -222,16 +164,10 @@ def fox_milnor_status(
     A reduction f admits one (f = g g* up to a unit) iff every
     self-reciprocal irreducible factor of f has even multiplicity.  An
     obstructed outcome here certifies the knot is not topologically
-    slice.
-
-    route is "direct", "structured", or "auto" (direct up to degree
-    1200; the degree of the reduction is 2a).  The direct route builds
-    the reduction with `alexander_mod_p` and factors it completely.
-    The structured route never builds it: it runs the self-reciprocal
-    factor search on each reduced cyclotomic C_d, d > 1 dividing a or
-    a + 2, and only on the rare path where some part has such a factor
-    does it build the reduction, to check that the exhibited factor
-    divides it.  It rests on
+    slice.  The reduction is never built or factored to decide this:
+    each cyclotomic part C_d mod p, d > 1 dividing a or a + 2, is
+    decided by the closed form of `has_self_reciprocal_factor`, which
+    rests on
 
     Lemma (b).  For a prime p | (a+1)/2, Delta mod p is the product of
     C_d(-t) over the distinct d > 1 dividing a or a + 2, and that
@@ -253,24 +189,34 @@ def fox_milnor_status(
     Every factor thus has multiplicity 1, and the reduction admits a
     Fox-Milnor factorization iff no part C_d(-t) has a self-reciprocal
     irreducible factor.  As h(t) is self-reciprocal iff h(-t) is, that
-    is asking each C_d mod p.  The structured route checks the lemma's
-    hypothesis, p not dividing d, for every part and raises
-    ArithmeticError if it fails.
+    is asking each C_d mod p.  The lemma's hypothesis, p not dividing
+    d, is checked for every part (ArithmeticError if it fails).  Only
+    when a part has such a factor is it exhibited, by the polynomial
+    search, and checked to divide the reduction.
 
     >>> fox_milnor_status(3, 2).admits
     False
     >>> [str(g) for g, m in fox_milnor_status(3, 2).offenders]
     ['1 + t + t^2', '1 + t + t^2 + t^3 + t^4']
     """
-    if route not in ("auto", "direct", "structured"):
-        raise ValueError(f"unknown route {route!r}")
     _validate_reduction(a, p, max_a)
-    if route == "auto":
-        route = "direct" if 2 * a <= DIRECT_ROUTE_MAX_DEGREE else "structured"
-    if route == "structured":
-        return _structured_status(a, p, seed, max_a)
-    rep = _factor.fox_milnor_mod_p(alexander_mod_p(a, p, max_a), seed)
-    squarefree = all(m == 1 for _, m in rep.multiset)
-    return FoxMilnorStatus(
-        a, p, rep.admits, "direct", squarefree, rep.odd_multiplicity, (), rep.multiset
-    )
+    parts = []
+    offenders = []
+    for n, source in ((a, "a"), (a + 2, "a+2")):
+        for d in _divisors_over_one(n):
+            if d % p == 0:
+                raise ArithmeticError(f"p = {p} divides the part index d = {d}")
+            q = CyclotomicQuery(d, p)
+            exists = has_self_reciprocal_factor(q).exists
+            parts.append(PartCheck(d, source, exists))
+            if exists:
+                shown = _factor.self_reciprocal_search(reduced(q), d, seed)
+                if not shown.exists:  # pragma: no cover
+                    raise ArithmeticError(f"closed form and search disagree at d = {d}, p = {p}")
+                if shown.factor is not None:
+                    h = shown.factor.substitute_neg().monic()
+                    if not alexander_mod_p(a, p, max_a).divrem(h)[1].is_zero():  # pragma: no cover
+                        raise ArithmeticError("offending factor does not divide the reduction")
+                    offenders.append((h, 1))
+    admits = not any(c.exists for c in parts)
+    return FoxMilnorStatus(a, p, admits, tuple(offenders), tuple(parts))

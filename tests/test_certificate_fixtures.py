@@ -70,3 +70,26 @@ def test_tampered_composite_pair_of_a_frozen_survivor_fails(oracles_raise, field
     pairs[i][field] = value
     ok, problems = ob.verify_certificate(data)
     assert not ok and any(f"d={pairs[i]['d']}" in msg for msg in problems)
+
+
+FOX_MILNOR_TAMPERS = {
+    "part_exists": lambda block: block["parts"][1].update(exists=True),
+    "part_dropped": lambda block: block["parts"].pop(2),
+    "part_d_999": lambda block: block["parts"][0].update(d="999"),
+    "route_bogus": lambda block: block.update(route="bogus"),
+    "not_squarefree": lambda block: block.update(squarefree=False),
+    "parts_removed": lambda block: block.pop("parts"),
+}
+
+
+@pytest.mark.parametrize("tamper", FOX_MILNOR_TAMPERS)
+@pytest.mark.parametrize("a", (1081, 3577))
+def test_tampered_fox_milnor_block_fails(oracles_raise, a, tamper):
+    # the block is checked by arithmetic alone: the pairs rule out a
+    # self-reciprocal factor in every part, so by Lemma (b) it must state
+    # exactly the clean parts of a and a+2
+    assert ob.verify_certificate(frozen(a)) == (True, [])
+    data = frozen(a)
+    FOX_MILNOR_TAMPERS[tamper](data["evidence"]["fox_milnor"][0])
+    ok, problems = ob.verify_certificate(data)
+    assert not ok and problems

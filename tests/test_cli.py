@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -147,9 +148,14 @@ def test_inspect_legendre(capsys):
 def test_inspect_alexander_mod_p(capsys):
     code, out, _ = run(capsys, "inspect", "alexander", "3", "2")
     assert code == 0
-    assert "[self-reciprocal]" in out
-    assert "odd multiplicity" in out
+    assert "d=3 (divides a): has a self-reciprocal factor" in out
+    assert "d=5 (divides a+2): has a self-reciprocal factor" in out
+    assert "offending factor (1 + t + t^2)^1" in out
     assert "does not admit" in out
+    code, out, _ = run(capsys, "inspect", "alexander", "1081", "541")
+    assert code == 0
+    assert "d=1083 (divides a+2): clean" in out
+    assert "offending" not in out and "admits a Fox-Milnor" in out
 
 
 def test_inspect_alexander_integer(capsys):
@@ -202,6 +208,16 @@ def test_bad_config_file(tmp_path, capsys, monkeypatch):
         assert all(name in err for name in names), err
     cfg.write_text(json.dumps({"jobs": 2, "seed": "7", "max_a": 999, "out": "x"}))
     assert cli.load_config() == cli.Config(max_a=999, seed=7, jobs=2, out="x")
+
+
+def test_out_of_range_flags_are_usage_errors(capsys):
+    # the flags are range-checked with the config file's values, before
+    # any command runs; a good certificate is not blamed
+    good = Path(__file__).parent / "fixtures" / "check_3.json"
+    code, out, err = run(capsys, "--max-a", "2", "verify", str(good))
+    assert code == 2 and "max_a must be >= 3" in err and "FAILED" not in err
+    code, out, err = run(capsys, "scan", "3", "9", "--jobs", "0")
+    assert code == 2 and "jobs must be >= 1" in err
 
 
 def test_removed_oracle_level_flag_is_a_usage_error(capsys):

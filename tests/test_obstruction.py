@@ -1,7 +1,6 @@
 """Decision pipeline: witness pairs, verdicts, certificates, scans."""
 
 import json
-import logging
 
 import pytest
 
@@ -353,21 +352,26 @@ def test_verify_rejects_malformed_input():
         assert not ok and problems
 
 
-def test_mod_p_certificate_verifies_and_warns(caplog):
-    # synthesized: the pipeline never reaches this verdict in scanned
-    # ranges, but the certificate format and verifier must support it
-    st = pretzel.fox_milnor_status(3, 2)
-    g, m = st.offenders[0]
+def test_mod_p_certificate_is_an_unknown_verdict():
+    # ObstructedModP was never emitted and Lemma (b) makes it unreachable,
+    # so a synthesized one fails as an unknown verdict
     ev = {
-        "kind": "fox_milnor", "p": 2, "admits": False, "route": st.route,
-        "squarefree": st.squarefree, "factor": list(g.coeffs),
-        "multiplicity": m, "note": "obstruction found only by the full factorization test",
+        "kind": "fox_milnor", "p": 2, "admits": False, "route": "direct",
+        "squarefree": True, "factor": [1, 1, 1], "multiplicity": 1,
+        "note": "obstruction found only by the full factorization test",
     }
-    cert = ob.Certificate(3, ob.VERDICT_MOD_P, None, ev, ob.theorem_tags(3),
+    cert = ob.Certificate(3, "ObstructedModP", None, ev, ob.theorem_tags(3),
                           0, ob.__version__)
     data = json.loads(json.dumps(ob.certificate_to_json(cert)))
     ok, problems = ob.verify_certificate(data)
-    assert ok, problems
-    data["evidence"]["multiplicity"] = "3"
-    ok, _ = ob.verify_certificate(data)
     assert not ok
+    assert problems == ["unknown verdict 'ObstructedModP'"]
+
+
+def test_decide_raises_when_the_backstop_contradicts_lemma_b(monkeypatch):
+    def obstructed(a, p, seed=0, max_a=0):
+        return pretzel.FoxMilnorStatus(a, p, False, (), ())
+
+    monkeypatch.setattr(pretzel, "fox_milnor_status", obstructed)
+    with pytest.raises(ArithmeticError, match="Lemma \\(b\\)"):
+        ob.decide(1081)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from pretzelslice import numth, pretzel
-from pretzelslice.cyclotomic import cyclotomic_poly
+from pretzelslice import factor, numth, pretzel
+from pretzelslice.cyclotomic import CyclotomicQuery, cyclotomic_poly, reduced
 from pretzelslice.poly import IntPoly, ModPoly
 from pretzelslice.pretzel import (
     PretzelKnot,
@@ -100,54 +100,52 @@ def test_alexander_mod_p_validates_prime_choice():
 def test_fox_milnor_flagship():
     st = fox_milnor_status(3, 2)
     assert not st.admits
-    assert st.route == "direct"
     assert [g.coeffs for g, _ in st.offenders] == [(1, 1, 1), (1, 1, 1, 1, 1)]
 
 
-def test_fox_milnor_rejects_unknown_route():
-    with pytest.raises(ValueError):
-        fox_milnor_status(3, 2, route="fancy")
-
-
 def test_fox_milnor_routes_agree():
+    # the part-by-part closed form against a full factorization of the
+    # reduction (the reference oracle)
     for a in range(3, 90, 2):
         for p in PretzelKnot(a).reduction_primes():
-            direct = fox_milnor_status(a, p, route="direct")
-            structured = fox_milnor_status(a, p, route="structured")
-            assert direct.admits == structured.admits, (a, p)
-            if not direct.admits and structured.offenders:
-                got = {g.coeffs for g, _ in structured.offenders}
-                want = {g.coeffs for g, _ in direct.offenders}
-                assert got <= want
-            # Lemma (b): the reduction is squarefree, as the structured
-            # route assumes without running this gcd
+            st = fox_milnor_status(a, p)
             delta_bar = alexander_mod_p(a, p)
+            ref = factor.fox_milnor_mod_p(delta_bar)
+            assert st.admits == ref.admits, (a, p)
+            got = {g.coeffs for g, _ in st.offenders}
+            assert got <= {g.coeffs for g, _ in ref.odd_multiplicity}, (a, p)
+            # Lemma (b): the reduction is squarefree, as fox_milnor_status
+            # assumes without running this gcd
             assert delta_bar.gcd(delta_bar.derivative()).degree == 0, (a, p)
-            assert direct.squarefree
 
 
 @pytest.mark.parametrize("a,p", SURVIVOR_REDUCTIONS)
 def test_fox_milnor_survivor_admits(a, p):
     st = fox_milnor_status(a, p)
     assert st.admits
-    assert st.route == "structured"
-    assert st.squarefree
     assert st.offenders == ()
     assert st.parts and not any(c.exists for c in st.parts)
+    # the polynomial search on each part agrees with the closed form
+    for c in st.parts:
+        search = factor.self_reciprocal_search(reduced(CyclotomicQuery(c.d, p)), c.d,
+                                               exhibit_cap=0)
+        assert search.exists == c.exists, c.d
 
 
 def test_structured_route_never_builds_the_reduction(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the reduction was built")
+        raise AssertionError("a polynomial was built or searched")
 
     monkeypatch.setattr(pretzel, "alexander_mod_p", refuse)
     monkeypatch.setattr(pretzel, "_alexander_cached", refuse)
-    st = fox_milnor_status(1081, 541)
-    assert st.admits and st.route == "structured"
+    monkeypatch.setattr(factor, "self_reciprocal_search", refuse)
+    for a, p in SURVIVOR_REDUCTIONS:
+        assert fox_milnor_status(a, p).admits
 
 
-def test_structured_route_checks_the_lemma_hypothesis():
-    # p = 3 divides the part index d = 3; the public entry point rejects
-    # this p, so the route's own check is reached only directly
+def test_structured_route_checks_the_lemma_hypothesis(monkeypatch):
+    # p = 3 divides the part index d = 3; input validation rejects this
+    # p, so the lemma's own check is reached only with validation off
+    monkeypatch.setattr(pretzel, "_validate_reduction", lambda a, p, max_a: None)
     with pytest.raises(ArithmeticError):
-        pretzel._structured_status(3, 3, 0, pretzel.DEFAULT_MAX_A)
+        fox_milnor_status(3, 3)
