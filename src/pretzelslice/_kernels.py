@@ -141,7 +141,9 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
     if len(a) - 1 < m:
         return [], a
     inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    if len(a) < 64:
+    # plain Python for short inputs and for p too large for the int64
+    # step below, whose products stay below p**2 + p
+    if len(a) < 64 or (p - 1) * (p - 1) + p >= _I64_SAFE:
         r = list(a)
         q = [0] * (len(a) - m)
         for i in range(len(a) - 1 - m, -1, -1):
@@ -151,9 +153,6 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
                 for j, bj in enumerate(b):
                     r[i + j] = (r[i + j] - c * bj) % p
         return q, trim(r)
-    # vectorized inner step; products stay below p**2 + p, guarded by caller sizes
-    if (p - 1) * (p - 1) + p >= _I64_SAFE:
-        return _divrem_mod_big(a, b, p)
     rv = np.asarray(a, dtype=np.int64)
     bv = np.asarray(b, dtype=np.int64)
     q = [0] * (len(a) - m)
@@ -163,20 +162,6 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
         if c:
             rv[i : i + m + 1] = (rv[i : i + m + 1] - c * bv) % p
     return q, trim([int(c) for c in rv])
-
-
-def _divrem_mod_big(a, b, p):
-    m = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    r = list(a)
-    q = [0] * (len(a) - m)
-    for i in range(len(a) - 1 - m, -1, -1):
-        c = (r[i + m] * inv_lead) % p
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] - c * bj) % p
-    return q, trim(r)
 
 
 def gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:

@@ -13,13 +13,13 @@ drive everything downstream:
 
 Both are answered here by closed-form arithmetic, for prime and
 composite d alike.  The oracle routes at the bottom answer the same
-questions by actually factoring; they serve tests, `inspect` and the
-re-verification of older certificates that state oracle evidence, and
-the decision pipeline never calls them.
+questions by actually factoring; they serve tests and `inspect`, and
+neither the decision pipeline nor certificate verification calls them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -122,6 +122,8 @@ class FactorCountReport:
     legendre_check: Optional[int]
 
 
+# bounded memo: building a certificate asks about each (d, p) repeatedly
+@functools.lru_cache(maxsize=512)
 def count_irreducible_factors(q: CyclotomicQuery) -> FactorCountReport:
     """Closed-form factor count of the reduced cyclotomic: phi(d)/ord_d(p).
 
@@ -182,6 +184,7 @@ class SelfReciprocalReport:
     routes_agree: Optional[bool]
 
 
+@functools.lru_cache(maxsize=512)  # bounded memo, as above
 def has_self_reciprocal_factor(q: CyclotomicQuery) -> SelfReciprocalReport:
     """Does the reduced cyclotomic have a self-reciprocal irreducible factor?
 

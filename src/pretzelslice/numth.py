@@ -8,6 +8,7 @@ sequence, so the same input always walks the same path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -34,6 +35,7 @@ def _sieve() -> List[int]:
     return _small_primes
 
 
+@functools.lru_cache(maxsize=1024)  # bounded memo: every CyclotomicQuery re-tests p
 def is_prime(n: int) -> bool:
     """Deterministic primality for 1 <= n < 2^64.
 
@@ -119,6 +121,8 @@ def _brent(n: int) -> int:
     raise ArithmeticError(f"factor search exhausted for {n}")  # pragma: no cover
 
 
+# bounded memo: the closed forms of one (d, p) factor d and ord_d(p) repeatedly
+@functools.lru_cache(maxsize=1024)
 def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 1.
 

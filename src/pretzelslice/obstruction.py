@@ -18,14 +18,15 @@ residues) and `self_reciprocal_witness` (a = 3 mod 4: a pair whose
 cyclotomic contains a palindromic irreducible factor, found via the
 odd part of phi(a(a+2))).
 
-`scan` sweeps a range and reports one row per a; `verify_certificate`
-recomputes every number in a certificate by arithmetic on (p, d),
-without rerunning the decision search or factoring a polynomial.
+`scan` sweeps a range and reports one row per a.  `build_certificate`
+is the one writer of the evidence format: `decide` calls it on the
+first failing pair, and `verify_certificate` calls it on the stated
+witness and compares, so verifying factors no polynomial.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,11 +38,8 @@ from ._version import __version__
 from .cyclotomic import (
     CyclotomicQuery,
     count_irreducible_factors,
-    factor_count_oracle,
     has_self_reciprocal_factor,
-    reduced,
 )
-from .poly import ModPoly
 
 VERDICT_PARITY = "ObstructedParity"
 VERDICT_SELF_RECIPROCAL = "ObstructedSelfReciprocal"
@@ -49,10 +47,6 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 TAG_PARITY = "legendre_parity"
 TAG_SELF_RECIPROCAL = "self_reciprocal_factor"
-
-_INCONCLUSIVE_NOTE = (
-    "no obstruction from this method; this is not a sliceness claim"
-)
 
 
 @dataclass(frozen=True)
@@ -81,18 +75,15 @@ def witness_pairs(a: int, max_a: int = pretzel.DEFAULT_MAX_A) -> List[WitnessPai
     knot = pretzel.validate_member(a, max_a)
     by_source = []
     for n, source in ((a, "a"), (a + 2, "a+2")):
-        divs = numth.divisors(numth.factorize(n))[1:]
-        primes = [d for d in divs if numth.is_prime(d)]
-        composites = [d for d in divs if not numth.is_prime(d)]
-        by_source.extend((d, True, source) for d in primes)
-        by_source.extend((d, False, source) for d in composites)
-    out = []
-    for p in knot.reduction_primes():
-        for d, is_prime_d, source in by_source:
-            if d % p == 0:  # pragma: no cover
-                raise ArithmeticError(f"impossible common factor p={p}, d={d}")
-            out.append(WitnessPair(p, d, is_prime_d, source))
-    return out
+        divs = [(d, numth.is_prime(d)) for d in numth.divisors(numth.factorize(n))[1:]]
+        by_source.extend((d, True, source) for d, prime in divs if prime)
+        by_source.extend((d, False, source) for d, prime in divs if not prime)
+    # p | a+1 is prime to a and to a+2, so p never divides d
+    return [
+        WitnessPair(p, d, is_prime_d, source)
+        for p in knot.reduction_primes()
+        for d, is_prime_d, source in by_source
+    ]
 
 
 STATUS_PARITY = "parity_failed"
@@ -214,24 +205,6 @@ def _pair_evidence(out: PairOutcome) -> Dict:
     return ev
 
 
-def _failure_certificate(
-    a: int, out: PairOutcome, seed: int, extra_failures: Optional[List[Dict]]
-) -> Certificate:
-    ev = _pair_evidence(out)
-    if out.status == STATUS_PARITY:
-        verdict = VERDICT_PARITY
-        ev["kind"] = "parity"
-        ev["phi"] = out.count * out.order
-    else:
-        verdict = VERDICT_SELF_RECIPROCAL
-        ev["kind"] = "self_reciprocal"
-        if out.w is not None:
-            ev["power_at_w"] = pow(out.pair.p, out.w, out.pair.d)
-    if extra_failures is not None:
-        ev["all_failures"] = extra_failures
-    return Certificate(a, verdict, out.pair, ev, theorem_tags(a), seed, __version__)
-
-
 def _fox_milnor_evidence(status: pretzel.FoxMilnorStatus) -> Dict:
     # "route" and "squarefree" keep the 0.2.0 format; both are constant
     # since the part-by-part route is the only one (Lemma (b))
@@ -244,49 +217,54 @@ def _fox_milnor_evidence(status: pretzel.FoxMilnorStatus) -> Dict:
     }
 
 
-def decide(
+def build_certificate(
     a: int,
+    witness: Optional[WitnessPair],
     seed: int = _factor.DEFAULT_SEED,
-    max_a: int = pretzel.DEFAULT_MAX_A,
     all_witnesses: bool = False,
+    max_a: int = pretzel.DEFAULT_MAX_A,
 ) -> Certificate:
-    """Full obstruction decision for one family member.
+    """The certificate for a: obstructed by the failing pair `witness`.
 
-    Pairs are checked in canonical order by closed form (`check_pair`)
-    and the first failure wins; by Lemma (a) its d is prime.  If every
-    pair passes, the mod-p Fox-Milnor status of each prime p | (a+1)/2
-    is recorded and the verdict is Inconclusive.  By Lemma (b) (in
-    `pretzel.fox_milnor_status`) that status asks each part C_d mod p
-    whether it has a self-reciprocal factor, which the passing pairs
-    have already ruled out, so it always admits; a status that does
-    not contradicts the lemma and raises ArithmeticError.  No
-    polynomial is factored or searched.  `all_witnesses` additionally
-    collects every failing pair into the evidence.
+    The one writer of the evidence format, called by `decide` after its
+    search and by `verify_certificate` on the stated witness.  The
+    witness must fail (ValueError otherwise).  With `witness=None`
+    every canonical pair must pass (ValueError otherwise) and the
+    Fox-Milnor status of each prime p | (a+1)/2 is recorded; by Lemma
+    (b) (in `pretzel.fox_milnor_status`) it admits once the pairs pass,
+    and ArithmeticError says otherwise.  No a in a `theorem_tags` class
+    gets that far: `parity_witness` and `self_reciprocal_witness`
+    construct a failing pair for each.  `all_witnesses` lists every
+    failing pair in an Obstructed certificate.
 
-    >>> decide(3).verdict
-    'ObstructedParity'
-    >>> (decide(3).witness.p, decide(3).witness.d)
-    (2, 3)
+    >>> build_certificate(15, WitnessPair(2, 17, True, "a+2")).verdict
+    'ObstructedSelfReciprocal'
     """
-    pairs = witness_pairs(a, max_a)
-    first_failure: Optional[PairOutcome] = None
-    failures: List[Dict] = []
-    passes: List[PairOutcome] = []
-    for pair in pairs:
-        out = check_pair(a, pair)
-        if out.status == STATUS_PASS:
-            passes.append(out)
-            continue
-        if first_failure is None:
-            first_failure = out
-            if not all_witnesses:
-                break
-        failures.append({"p": pair.p, "d": pair.d, "status": out.status})
-    if first_failure is not None:
-        extra = failures if all_witnesses else None
-        cert = _failure_certificate(a, first_failure, seed, extra)
-        return cert
+    tags = theorem_tags(a)
+    outcomes = []
+    if witness is None or all_witnesses:
+        outcomes = [check_pair(a, pair) for pair in witness_pairs(a, max_a)]
+    failures = [o for o in outcomes if o.status != STATUS_PASS]
+    if witness is not None:
+        out = check_pair(a, witness)
+        ev = _pair_evidence(out)
+        if out.status == STATUS_PARITY:
+            verdict = VERDICT_PARITY
+            ev.update(kind="parity", phi=out.count * out.order)
+        elif out.status == STATUS_SELF_RECIPROCAL:
+            verdict = VERDICT_SELF_RECIPROCAL
+            ev.update(kind="self_reciprocal", power_at_w=pow(witness.p, out.w, witness.d))
+        else:
+            raise ValueError(f"pair (p={witness.p}, d={witness.d}) passes both conditions")
+        if all_witnesses:
+            ev["all_failures"] = [
+                {"p": o.pair.p, "d": o.pair.d, "status": o.status} for o in failures
+            ]
+        return Certificate(a, verdict, witness, ev, tags, seed, __version__)
 
+    if failures:
+        o = failures[0]
+        raise ValueError(f"pair (p={o.pair.p}, d={o.pair.d}) fails: {o.status}")
     statuses = [
         pretzel.fox_milnor_status(a, p, seed, max_a=max_a)
         for p in pretzel.PretzelKnot(a).reduction_primes()
@@ -297,19 +275,40 @@ def decide(
             f"a = {a}: every pair passes but the reduction mod {bad[0]} does "
             "not admit a Fox-Milnor factorization; this contradicts Lemma (b)"
         )
-    tags = theorem_tags(a)
-    if tags:  # pragma: no cover
-        raise ArithmeticError(
-            f"a = {a} is covered by a residue case split but no obstruction "
-            "was found; this contradicts a proven statement"
-        )
     ev = {
         "kind": "inconclusive",
-        "note": _INCONCLUSIVE_NOTE,
-        "pairs": [_pair_evidence(out) for out in passes],
+        "note": "no obstruction from this method; this is not a sliceness claim",
+        "pairs": [_pair_evidence(o) for o in outcomes],
         "fox_milnor": [_fox_milnor_evidence(s) for s in statuses],
     }
     return Certificate(a, VERDICT_INCONCLUSIVE, None, ev, tags, seed, __version__)
+
+
+def decide(
+    a: int,
+    seed: int = _factor.DEFAULT_SEED,
+    max_a: int = pretzel.DEFAULT_MAX_A,
+    all_witnesses: bool = False,
+) -> Certificate:
+    """Full obstruction decision for one family member.
+
+    Pairs are checked in canonical order by closed form (`check_pair`)
+    and the first failure is the witness; by Lemma (a) its d is prime.
+    With no failure the verdict is Inconclusive.  `build_certificate`
+    writes the certificate either way.  No polynomial is factored or
+    searched.
+
+    >>> decide(3).verdict
+    'ObstructedParity'
+    >>> (decide(3).witness.p, decide(3).witness.d)
+    (2, 3)
+    """
+    witness = next(
+        (pair for pair in witness_pairs(a, max_a)
+         if check_pair(a, pair).status != STATUS_PASS),
+        None,
+    )
+    return build_certificate(a, witness, seed, all_witnesses, max_a)
 
 
 # ---------------------------------------------------------------------------
@@ -562,217 +561,143 @@ def certificate_to_json(cert: Certificate) -> Dict:
 
 
 def _as_int(v, what: str) -> int:
-    if isinstance(v, bool) or v is None:
-        raise ValueError(f"{what} is not an integer")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        s = v.strip()
-        if s and (s.lstrip("+-").isdigit()):
-            return int(s)
-    raise ValueError(f"{what} is not an integer: {v!r}")
-
-
-def _as_opt_int(v, what: str) -> Optional[int]:
-    return None if v is None else _as_int(v, what)
+    if isinstance(v, str) and v.lstrip("-").isdigit():
+        return int(v)
+    raise ValueError(f"{what} is not a decimal string: {v!r}")
 
 
 # ---------------------------------------------------------------------------
-# certificate re-verification (no search, evidence-driven recomputation)
+# certificate re-verification: rebuild from the stated witness and compare
+
+LEGACY_VERSION = "0.1.0"
+_ABSENT = object()
 
 
-class _Verifier:
-    def __init__(self, data: Dict, max_a: int):
-        self.data = data
-        self.max_a = max_a
-        self.problems: List[str] = []
+def legacy_oracle_fields(ev: Dict) -> Dict:
+    """The `oracle_*` keys a 0.1.0 certificate states for one pair.
 
-    def flag(self, msg: str):
-        self.problems.append(msg)
+    `ev` is the pair's evidence as `build_certificate` writes it.  The
+    keys held what the factorization oracles returned, and each has a
+    closed form.  `oracle_count` is the count phi(d)/ord_d(p) (proved
+    in `cyclotomic.has_self_reciprocal_factor`).  The `oracle_sr_*`
+    keys, stated with `sr_exists`, record the first hit of
+    `factor.self_reciprocal_search` on Phi_d mod p: the least m >= 1
+    with g = gcd(p^m + 1, d) > 2 and gcd(Phi_d, t^g - 1) of positive
+    degree.  As p does not divide d, the roots of Phi_d mod p are the
+    primitive d-th roots of unity, and such a root is a root of
+    t^g - 1 (g | d) iff d | g.  So gcd(Phi_d, t^g - 1) is 1 for a
+    proper divisor g of d and Phi_d for g = d, and a hit is exactly an
+    m with p^m = -1 mod d.  When -1 lies in <p>, p^m = -1 iff
+    m = w mod ord_d(p) for w = ord_d(p)/2, so the first hit is m = w
+    (w <= phi(d)/2, inside the search range): power w, divisor d and
+    gcd degree phi(d) = count * order.  Otherwise there is no hit, and
+    they are None, None and 0.
+    """
+    fields = {"oracle_count": ev["count"]}
+    if "sr_exists" in ev:
+        hit = ev["sr_exists"]
+        fields.update(
+            oracle_sr_exists=hit,
+            oracle_sr_power=ev["w"],
+            oracle_sr_divisor=ev["d"] if hit else None,
+            oracle_sr_gcd_degree=ev["count"] * ev["order"] if hit else 0,
+        )
+    return fields
 
-    def expect(self, cond: bool, msg: str) -> bool:
-        if not cond:
-            self.flag(msg)
-        return cond
 
-    def run(self) -> bool:
-        data = self.data
-        a = _as_int(data.get("a"), "a")
-        pretzel.validate_member(a, self.max_a)
-        verdict = data.get("verdict")
-        known = (VERDICT_PARITY, VERDICT_SELF_RECIPROCAL, VERDICT_INCONCLUSIVE)
-        if not self.expect(verdict in known, f"unknown verdict {verdict!r}"):
-            return False
-        tags = tuple(data.get("theorem_tags") or ())
-        self.expect(tags == theorem_tags(a),
-                    f"theorem tags {tags} do not match the residues of {a}")
-        if tags and verdict == VERDICT_INCONCLUSIVE:
-            self.flag("inconclusive verdict inside a covered residue class")
-        ev = data.get("evidence")
-        if not self.expect(isinstance(ev, dict), "missing evidence"):
-            return False
-        if verdict in (VERDICT_PARITY, VERDICT_SELF_RECIPROCAL):
-            self._check_witness_pair(a, data.get("witness"), ev)
-            if verdict == VERDICT_PARITY:
-                self._verify_parity(a, ev)
-            else:
-                self._verify_self_reciprocal(a, ev)
-        else:
-            self._verify_inconclusive(a, ev)
-        return not self.problems
+def _expected_json(cert: Certificate, data: Dict) -> Dict:
+    """`certificate_to_json(cert)` in the format of the stated version.
 
-    # -- shared pieces
+    A 0.1.0 certificate is the 0.2.0 one with another version string
+    and the keys of `legacy_oracle_fields` in each pair's evidence; a
+    key stated as null (that oracle was not run) is expected as null.
+    """
+    want = certificate_to_json(cert)
+    if data.get("version") != LEGACY_VERSION:
+        return want
+    want["version"] = LEGACY_VERSION
+    stated = data.get("evidence")
+    if cert.witness is not None:
+        entries = [(cert.evidence, stated, want["evidence"])]
+    else:
+        stated = stated.get("pairs") if isinstance(stated, dict) else None
+        stated = stated if isinstance(stated, list) else []
+        entries = zip(cert.evidence["pairs"], stated, want["evidence"]["pairs"])
+    for built, stated_entry, entry in entries:
+        for key, value in legacy_oracle_fields(built).items():
+            null = isinstance(stated_entry, dict) and stated_entry.get(key, 0) is None
+            entry[key] = None if null else _stringify(value)
+    return want
 
-    def _check_witness_pair(self, a: int, witness, ev: Dict):
-        if not self.expect(isinstance(witness, dict), "missing witness"):
-            return
-        p = _as_int(witness.get("p"), "witness.p")
-        d = _as_int(witness.get("d"), "witness.d")
-        self.expect(p == _as_int(ev.get("p"), "evidence.p"), "witness/evidence p differ")
-        self.expect(d == _as_int(ev.get("d"), "evidence.d"), "witness/evidence d differ")
-        self.expect(numth.is_prime(p), f"p = {p} is not prime")
-        self.expect((a + 1) // 2 % p == 0, f"p = {p} does not divide (a+1)/2")
-        self.expect(d > 1 and (a % d == 0 or (a + 2) % d == 0),
-                    f"d = {d} divides neither a nor a+2")
-        self.expect(bool(witness.get("d_is_prime")) == numth.is_prime(d),
-                    "d_is_prime flag is wrong")
 
-    def _recount(self, p: int, d: int) -> Tuple[int, int]:
-        phi = numth.totient(numth.factorize(d))
-        order = numth.mult_order(p, d)
-        return phi // order, order
+def _label(entry, i: int) -> str:
+    if isinstance(entry, dict) and ("p" in entry or "d" in entry):
+        return ", ".join(f"{k}={entry[k]}" for k in ("p", "d") if k in entry)
+    return str(i)
 
-    def _verify_parity(self, a: int, ev: Dict):
-        p = _as_int(ev.get("p"), "p")
-        d = _as_int(ev.get("d"), "d")
-        count, order = self._recount(p, d)
-        self.expect(count == _as_int(ev.get("count"), "count"),
-                    f"recomputed count {count} != stated {ev.get('count')}")
-        self.expect(order == _as_int(ev.get("order"), "order"),
-                    f"recomputed order {order} != stated {ev.get('order')}")
-        self.expect(count % 2 == 1, "stated parity failure but the count is even")
-        self.expect(ev.get("parity") == "odd", "parity field is not 'odd'")
-        if numth.is_prime(d) and d % 2 == 1:
-            sym = numth.legendre(p, d)
-            self.expect(sym == -1, f"legendre({p},{d}) = {sym}, expected -1")
-            stated = _as_opt_int(ev.get("legendre"), "legendre")
-            if stated is not None:
-                self.expect(stated == sym, "stated legendre symbol is wrong")
-        oc = _as_opt_int(ev.get("oracle_count"), "oracle_count")
-        if oc is not None:
-            got = factor_count_oracle(CyclotomicQuery(d, p))
-            self.expect(got == oc == count, "oracle count does not re-verify")
 
-    def _verify_self_reciprocal(self, a: int, ev: Dict):
-        p = _as_int(ev.get("p"), "p")
-        d = _as_int(ev.get("d"), "d")
-        count, order = self._recount(p, d)
-        self.expect(count % 2 == 0, "pair should have passed parity first")
-        w = _as_opt_int(ev.get("w"), "w")
-        if w is not None:
-            self.expect(order % 2 == 0 and w == order // 2,
-                        f"w = {w} is not half the order {order}")
-            got = pow(p, w, d)
-            self.expect(got == d - 1, f"p^w = {got} mod d, expected -1")
-            stated = _as_opt_int(ev.get("power_at_w"), "power_at_w")
-            if stated is not None:
-                self.expect(stated == got, "stated power at w is wrong")
-        else:
-            self.flag("self-reciprocal verdict without the exponent w")
-        if ev.get("oracle_sr_exists") is not None:
-            self._reverify_sr_oracle(ev, p, d)
+def _show(v) -> str:
+    if isinstance(v, (dict, list)):
+        return "an object" if isinstance(v, dict) else "a list"
+    return "nothing" if v is _ABSENT else repr(v)
 
-    def _reverify_sr_oracle(self, ev: Dict, p: int, d: int):
-        # oracle evidence is emitted only by certificates before 0.2.0
-        m = _as_opt_int(ev.get("oracle_sr_power"), "oracle_sr_power")
-        g = _as_opt_int(ev.get("oracle_sr_divisor"), "oracle_sr_divisor")
-        deg = _as_opt_int(ev.get("oracle_sr_gcd_degree"), "oracle_sr_gcd_degree")
-        if m is None or g is None or deg is None:
-            self.flag(f"oracle evidence for d = {d} is incomplete")
-            return
-        self.expect(math.gcd(pow(p, m, d) + 1, d) == g and g > 2,
-                    f"stated divisor {g} does not match gcd(p^{m}+1, {d})")
-        f = reduced(CyclotomicQuery(d, p))
-        part = f.gcd(ModPoly(p, [p - 1] + [0] * (g - 1) + [1]))
-        self.expect(part.degree == deg and deg > 0,
-                    f"gcd with t^{g}-1 has degree {part.degree}, stated {deg}")
 
-    def _verify_inconclusive(self, a: int, ev: Dict):
-        stated_pairs = ev.get("pairs")
-        if not self.expect(isinstance(stated_pairs, list), "missing pair list"):
-            return
-        expected = [(w.p, w.d) for w in witness_pairs(a, self.max_a)]
-        got = [( _as_int(e.get("p"), "p"), _as_int(e.get("d"), "d"))
-               for e in stated_pairs]
-        if not self.expect(got == expected,
-                           "pair list does not match the canonical enumeration"):
-            return
-        for e in stated_pairs:
-            p = _as_int(e.get("p"), "p")
-            d = _as_int(e.get("d"), "d")
-            count, order = self._recount(p, d)
-            self.expect(count == _as_int(e.get("count"), "count"),
-                        f"count mismatch at (p={p}, d={d})")
-            self.expect(count % 2 == 0 and e.get("parity") == "even",
-                        f"pair (p={p}, d={d}) does not pass parity")
-            if numth.is_prime(d):
-                self.expect(numth.legendre(p, d) == 1,
-                            f"legendre({p},{d}) should be 1 for an even count")
-            sr = order % 2 == 0 and pow(p, order // 2, d) == d - 1
-            self.expect(e.get("sr_exists") is False and not sr,
-                        f"pair (p={p}, d={d}) has a palindromic factor")
-            # 0.1.0 pairs may state oracle results; the closed forms are
-            # proved equal to them, so they are checked without factoring
-            oc = _as_opt_int(e.get("oracle_count"), "oracle_count")
-            deg = _as_opt_int(e.get("oracle_sr_gcd_degree"), "oracle_sr_gcd_degree")
-            self.expect(oc in (None, count) and deg in (None, 0)
-                        and e.get("oracle_sr_exists") in (None, False)
-                        and e.get("oracle_sr_power") is None
-                        and e.get("oracle_sr_divisor") is None,
-                        f"stated oracle result at (p={p}, d={d}) is wrong")
-        # The pairs above cover every part index d > 1 of a and of a+2
-        # for every prime p, and none has a self-reciprocal factor.  By
-        # Lemma (b) (in `pretzel.fox_milnor_status`) each reduction is
-        # the squarefree product of those parts, so it admits, and its
-        # block must state exactly that.
-        fm = ev.get("fox_milnor")
-        if not self.expect(isinstance(fm, list) and fm
-                           and all(isinstance(s, dict) for s in fm),
-                           "missing Fox-Milnor block"):
-            return
-        stated_ps = [_as_int(s.get("p"), "p") for s in fm]
-        knot = pretzel.PretzelKnot(a)
-        self.expect(tuple(stated_ps) == knot.reduction_primes(),
-                    "Fox-Milnor block does not cover every prime")
-        expected = [(d, source) for n, source in ((a, "a"), (a + 2, "a+2"))
-                    for d in numth.divisors(numth.factorize(n))[1:]]
-        for p, s in zip(stated_ps, fm):
-            self.expect(s.get("admits") is True, f"stated non-admitting p = {p}")
-            self.expect(s.get("route") == "structured" and s.get("squarefree") is True,
-                        f"Fox-Milnor block at p = {p} states another route")
-            parts = s.get("parts")
-            ok = isinstance(parts, list) and all(isinstance(c, dict) for c in parts)
-            self.expect(ok and [(_as_int(c.get("d"), "part d"), c.get("source"))
-                                for c in parts] == expected
-                        and all(c.get("exists") is False for c in parts),
-                        f"Fox-Milnor parts at p = {p} are not the clean parts of a, a+2")
+def _diff(path: str, stated, want, problems: List[str]):
+    """Append one problem per path at which `stated` differs from `want`."""
+    if isinstance(stated, dict) and isinstance(want, dict):
+        keys = list(want) + [k for k in stated if k not in want]
+        subs = [(f"{path}.{k}" if path else f"{k}", stated.get(k, _ABSENT),
+                 want.get(k, _ABSENT)) for k in keys]
+    elif isinstance(stated, list) and isinstance(want, list):
+        entries = itertools.zip_longest(stated, want, fillvalue=_ABSENT)
+        subs = [(f"{path}[{_label(w if w is not _ABSENT else s, i)}]", s, w)
+                for i, (s, w) in enumerate(entries)]
+    else:
+        if type(stated) is not type(want) or stated != want:
+            problems.append(f"{path}: stated {_show(stated)}, expected {_show(want)}")
+        return
+    for at, s, w in subs:
+        _diff(at, s, w, problems)
 
 
 def verify_certificate(data: Dict, max_a: int = pretzel.DEFAULT_MAX_A) -> Tuple[bool, List[str]]:
-    """Recompute a certificate's evidence; (ok, list of discrepancies).
+    """Rebuild a certificate from its stated witness; (ok, list of problems).
 
-    Works from the JSON dict alone, by arithmetic on (a, p, d) for
-    every verdict: orders, totients, Legendre symbols and the
-    self-reciprocal criterion are recomputed, and the Fox-Milnor block
-    of an Inconclusive certificate is checked against Lemma (b).  The
-    original decision search is never rerun and no polynomial is
-    factored, except that 0.1.0 certificates stating oracle evidence
-    for their witness pair have that evidence recomputed.
+    Reads only `a`, `verdict`, `witness.p` and `witness.d`, `seed`,
+    `version` and whether the evidence has `all_failures`, and calls
+    `build_certificate` on them, the function `decide` writes with.
+    There is no search: an Obstructed certificate is rebuilt from its
+    stated witness, which must fail, and an Inconclusive one (or an
+    `all_failures` list) walks the canonical pairs.  `certificate_to_json`
+    of the result is compared with the stated JSON, and each differing
+    path is one problem; a problem inside a list entry names that
+    entry's p= and d=.  Every integer must be the decimal string
+    `decide` writes.  A 0.1.0 certificate's `oracle_*` keys must be
+    null or equal their closed forms (`legacy_oracle_fields`).  No
+    polynomial is factored or searched for any certificate version.
     """
-    v = _Verifier(data, max_a)
     try:
-        ok = v.run()
-    except (ValueError, TypeError, KeyError, ArithmeticError) as e:
-        v.flag(f"malformed certificate: {e}")
-        ok = False
-    return ok, v.problems
+        if not isinstance(data, dict):
+            return False, ["a certificate must be a JSON object"]
+        a = _as_int(data.get("a"), "a")
+        if data.get("verdict") not in (VERDICT_PARITY, VERDICT_SELF_RECIPROCAL,
+                                       VERDICT_INCONCLUSIVE):
+            return False, [f"unknown verdict {data.get('verdict')!r}"]
+        witness = data.get("witness")
+        if witness is not None:
+            if not isinstance(witness, dict):
+                raise ValueError("witness is neither null nor an object")
+            p = _as_int(witness.get("p"), "witness.p")
+            d = _as_int(witness.get("d"), "witness.d")
+            pretzel.validate_member(a, max_a)
+            # check_pair rejects a (p, d) that is not a witness pair of a
+            witness = WitnessPair(p, d, numth.is_prime(d), "a" if a % d == 0 else "a+2")
+        ev = data.get("evidence")
+        all_witnesses = isinstance(ev, dict) and "all_failures" in ev
+        seed = _as_int(data.get("seed"), "seed")
+        cert = build_certificate(a, witness, seed, all_witnesses, max_a)
+    except (ValueError, TypeError, ArithmeticError) as e:
+        return False, [f"cannot rebuild the certificate: {e}"]
+    problems: List[str] = []
+    _diff("", data, _expected_json(cert, data), problems)
+    return not problems, problems

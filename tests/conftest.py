@@ -15,3 +15,17 @@ def oracles_raise(monkeypatch):
         for mod in (cyclotomic, obstruction):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, boom)
+
+
+@pytest.fixture
+def polynomials_raise(oracles_raise, monkeypatch):
+    """Also make Phi_d mod p and the factor search raise at every binding site."""
+    from pretzelslice import cyclotomic, factor, obstruction, pretzel
+
+    def boom(*args, **kwargs):
+        raise AssertionError("polynomial code reached")
+
+    for mod in (cyclotomic, pretzel, obstruction):
+        if hasattr(mod, "reduced"):
+            monkeypatch.setattr(mod, "reduced", boom)
+    monkeypatch.setattr(factor, "self_reciprocal_search", boom)

@@ -3,8 +3,11 @@
 The files under fixtures/ were written by `pretzelslice check A --out F`
 at version 0.1.0: two Inconclusive survivors (their Fox-Milnor blocks
 come from the structured route), a parity verdict and a palindromic
-factor verdict.  Version 0.2.0 decides composite-d pairs by closed form
-and so no longer states the factorization oracles' evidence; apart
+factor verdict.  `check_71_oracle_always.json` was written with
+`--oracle-level always`, so its self-reciprocal witness states the full
+`oracle_sr_*` evidence, and `check_15_all_witnesses.json` with
+`--all-witnesses`.  Version 0.2.0 decides composite-d pairs by closed
+form and so no longer states the factorization oracles' evidence; apart
 from that and the version string, `decide` must reproduce each file
 byte for byte, and the verifier must keep accepting the 0.1.0 files.
 """
@@ -17,14 +20,14 @@ import pytest
 from pretzelslice import obstruction as ob
 
 FIXTURES = Path(__file__).parent / "fixtures"
-FROZEN = (1081, 3577, 3, 7, 71)
+FROZEN = (1081, 3577, 3, 7, 71, "71_oracle_always", "15_all_witnesses")
 SURVIVORS = (1081, 3577, 11257, 12457, 12841, 14617, 17521, 17881)
 ORACLE_KEYS = ("oracle_count", "oracle_sr_exists", "oracle_sr_power",
                "oracle_sr_divisor", "oracle_sr_gcd_degree")
 
 
-def frozen(a):
-    return json.loads((FIXTURES / f"check_{a}.json").read_text(encoding="utf-8"))
+def frozen(name):
+    return json.loads((FIXTURES / f"check_{name}.json").read_text(encoding="utf-8"))
 
 
 def as_0_2_0(data):
@@ -39,22 +42,25 @@ def as_0_2_0(data):
 
 @pytest.mark.parametrize("a", FROZEN)
 def test_decide_reproduces_frozen_certificate(a):
-    want = json.dumps(as_0_2_0(frozen(a)), indent=2) + "\n"
-    got = json.dumps(ob.certificate_to_json(ob.decide(a)), indent=2) + "\n"
+    data = frozen(a)
+    all_witnesses = "all_failures" in data["evidence"]
+    want = json.dumps(as_0_2_0(data), indent=2) + "\n"
+    cert = ob.decide(int(data["a"]), all_witnesses=all_witnesses)
+    got = json.dumps(ob.certificate_to_json(cert), indent=2) + "\n"
     assert got == want
 
 
 @pytest.mark.parametrize("a", FROZEN)
 def test_frozen_certificate_verifies(a):
-    data = json.loads((FIXTURES / f"check_{a}.json").read_text(encoding="utf-8"))
-    assert ob.verify_certificate(data) == (True, [])
+    assert ob.verify_certificate(frozen(a)) == (True, [])
 
 
-def test_survivor_certificates_verify_without_the_oracles(oracles_raise):
+def test_survivor_certificates_verify_without_the_oracles(polynomials_raise):
+    # verify reaches no polynomial code, for either certificate version
     for a in SURVIVORS:
         data = json.loads(json.dumps(ob.certificate_to_json(ob.decide(a))))
         assert ob.verify_certificate(data) == (True, []), a
-    for a in (1081, 3577):
+    for a in FROZEN:
         assert ob.verify_certificate(frozen(a)) == (True, []), a
 
 

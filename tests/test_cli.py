@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pretzelslice import cli
+from pretzelslice import cli, obstruction
 from pretzelslice._version import __version__
 
 
@@ -106,6 +106,29 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(out_file))
     assert code == 1
     assert "FAILED" in err
+
+
+MALFORMED = {
+    "string_in_pairs": (1081, lambda c: c["evidence"]["pairs"].__setitem__(0, "x")),
+    "evidence_list": (3, lambda c: c.update(evidence=[])),
+    "witness_string": (3, lambda c: c.update(witness="x")),
+    "fox_milnor_string": (1081, lambda c: c["evidence"].update(fox_milnor="x")),
+    "a_not_a_string": (3, lambda c: c.update(a=3)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_verify_fails_malformed_structure_without_a_traceback(tmp_path, capsys, case):
+    a, change = MALFORMED[case]
+    data = json.loads(json.dumps(obstruction.certificate_to_json(obstruction.decide(a))))
+    change(data)
+    ok, problems = obstruction.verify_certificate(data)
+    assert not ok and problems
+    out_file = tmp_path / "cert.json"
+    out_file.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(out_file))
+    assert code == 1
+    assert "FAILED" in err and "Traceback" not in err
 
 
 def test_verify_jsonl_stream(tmp_path, capsys):

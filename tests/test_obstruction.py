@@ -352,6 +352,34 @@ def test_verify_rejects_malformed_input():
         assert not ok and problems
 
 
+def test_legacy_oracle_fields_match_the_search():
+    # the closed forms a 0.1.0 certificate's oracle_sr_* keys are checked
+    # against (proof in legacy_oracle_fields), on every witness pair of
+    # odd a <= 401 with d <= 400, whether or not the pair fails parity
+    checked = 0
+    for a in range(3, 402, 2):
+        for w in ob.witness_pairs(a):
+            if w.d > 400:
+                continue
+            q = w.query()
+            count = count_irreducible_factors(q)
+            sr = has_self_reciprocal_factor(q)
+            fields = ob.legacy_oracle_fields({
+                "d": w.d, "count": count.count, "order": count.degree_each,
+                "sr_exists": sr.exists, "w": sr.w,
+            })
+            got = self_reciprocal_factor_oracle(q, exhibit_cap=0)
+            assert fields == {
+                "oracle_count": count.count,
+                "oracle_sr_exists": got.exists,
+                "oracle_sr_power": got.power,
+                "oracle_sr_divisor": got.divisor,
+                "oracle_sr_gcd_degree": got.gcd_degree,
+            }, (a, w)
+            checked += 1
+    assert checked == 1979
+
+
 def test_mod_p_certificate_is_an_unknown_verdict():
     # ObstructedModP was never emitted and Lemma (b) makes it unreachable,
     # so a synthesized one fails as an unknown verdict

@@ -122,6 +122,18 @@ def test_divrem_contract_random():
             assert r.degree < b.degree
 
 
+def test_divrem_long_input_with_modulus_past_int64():
+    # len(a) >= 64 with (p-1)^2 + p >= 2^62 takes the plain Python loop
+    p = (1 << 61) - 1
+    rng = random.Random(61)
+    for la, lb in ((64, 1), (80, 9), (130, 64)):
+        a = ModPoly(p, [rng.randrange(p) for _ in range(la - 1)] + [1 + rng.randrange(p - 1)])
+        b = ModPoly(p, [rng.randrange(p) for _ in range(lb - 1)] + [1 + rng.randrange(p - 1)])
+        q, r = a.divrem(b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+
 def test_divrem_by_zero():
     with pytest.raises(ZeroDivisionError):
         ModPoly(5, [1]).divrem(ModPoly(5))
