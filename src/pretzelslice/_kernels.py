@@ -3,8 +3,20 @@
 Polynomials are plain sequences of Python ints in ascending exponent
 order.  Everything here is exact: numpy int64 paths are taken only when
 a worst-case bound shows no overflow is possible, and multiplication of
-large operands goes through Kronecker substitution (packing coefficients
+long operands goes through Kronecker substitution (packing coefficients
 into one big integer), which is exact for any modulus.
+
+Which path a call takes depends on the operand lengths:
+
+* multiplication: plain Python schoolbook while both operands have at
+  most `_TINY` coefficients, `np.convolve` while the shorter one has at
+  most `_KRONECKER_CUTOFF`, Kronecker packing beyond (and whenever the
+  int64 bound fails);
+* division: a plain Python loop for divisors of degree below
+  `_DIV_SHORT` or when the int64 bound fails, an int64 loop in place
+  otherwise;
+* gcd: Euclid on int64 arrays held across steps once both inputs
+  exceed `_GCD_INPLACE` coefficients, repeated division below that.
 
 These helpers are internal; `poly` wraps them in value types and the
 `factor` module drives them at scale.
@@ -19,10 +31,23 @@ import numpy as np
 # Safety margin for int64 accumulation (numpy gives no overflow traps).
 _I64_SAFE = 1 << 62
 
-# Below this many coefficients plain Python schoolbook wins on overhead.
-_TINY = 24
-# Above this many coefficients Kronecker packing beats np.convolve.
-_KRONECKER_CUTOFF = 512
+# Cutoffs timed at p = 97 on operands of 4..4096 coefficients (numpy 2.4,
+# CPython 3.11, 2 vCPUs; times in microseconds).
+# Schoolbook wins while both operands have at most _TINY coefficients
+# (4 x 4: 2.7 against 5.1 for np.convolve; 8 x 8: 6.5 against 3.4).
+_TINY = 5
+# np.convolve costs about la * lb, Kronecker packing at the exact byte
+# width about (la + lb)^1.6, so the shorter operand decides: packing wins
+# once it has more than this many coefficients, at any longer length
+# (256 x 256: 53 convolve, 58 packed; 384 x 384: 98 and 90; 4096 x 128:
+# 613 and 744; 4096 x 256: 1099 and 953).
+_KRONECKER_CUTOFF = 256
+# Divisors of lower degree divide faster in the plain Python loop than in
+# the int64 one (64 quotient steps by degree 12: 63 against 96; by degree
+# 64: 339 against 118; degrees 16 to 24 come out even within the noise).
+_DIV_SHORT = 16
+# Both gcd inputs longer than this: Euclid on int64 arrays in place.
+_GCD_INPLACE = 128
 
 
 def trim(cs: Sequence[int]) -> List[int]:
@@ -46,20 +71,34 @@ def _mul_school(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def _width(bound: int) -> int:
+    """Bytes per packed coefficient for coefficients in [0, bound]."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
 def _pack(cs: Sequence[int], width: int) -> int:
-    """Pack nonnegative coefficients into one integer, `width` bytes apiece."""
-    if width == 8:
-        buf = np.asarray(cs, dtype=np.uint64).astype("<u8").tobytes()
+    """Pack coefficients in [0, 256**width) into one integer, `width` bytes apiece."""
+    if width <= 8:
+        words = np.asarray(cs, dtype="<u8")
+        buf = words.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
     else:
         buf = b"".join(int(c).to_bytes(width, "little") for c in cs)
     return int.from_bytes(buf, "little")
 
 
+def _words(buf: bytes, width: int, count: int) -> np.ndarray:
+    """The first `count` little-endian integers of `width` <= 8 bytes in buf."""
+    wide = np.zeros((count, 8), dtype=np.uint8)
+    wide[:, :width] = np.frombuffer(buf, np.uint8, width * count).reshape(count, width)
+    return wide.view("<u8").reshape(count)
+
+
 def _unpack(x: int, width: int, count: int, p: int) -> List[int]:
+    """The `count` coefficients packed in x, reduced mod p (p = 0: as they are)."""
     buf = x.to_bytes(width * count, "little")
-    if width == 8:
-        arr = np.frombuffer(buf, dtype="<u8").astype(object)
-        return [int(c) % p for c in arr] if p else [int(c) for c in arr]
+    if width <= 8:
+        words = _words(buf, width, count)
+        return (words % p).tolist() if p else words.tolist()
     out = []
     for i in range(count):
         c = int.from_bytes(buf[i * width : (i + 1) * width], "little")
@@ -68,15 +107,13 @@ def _unpack(x: int, width: int, count: int, p: int) -> List[int]:
 
 
 def _mul_kronecker_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    """Exact product of mod-p coefficient vectors via integer packing."""
-    n = len(a) + len(b) - 1
-    bound = min(len(a), len(b)) * (p - 1) * (p - 1)
-    width = (bound.bit_length() + 7) // 8
-    if width <= 8:
-        width = 8
-    xa = _pack(a, width)
-    xb = _pack(b, width)
-    return _unpack(xa * xb, width, n, p)
+    """Exact product of mod-p coefficient vectors via integer packing.
+
+    Every product coefficient lies in [0, min(la, lb) * (p-1)^2], so
+    that many bytes per coefficient keep the packed digits apart.
+    """
+    width = _width(min(len(a), len(b)) * (p - 1) * (p - 1))
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1, p)
 
 
 def mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
@@ -84,13 +121,13 @@ def mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
-    if la > _TINY or lb > _TINY:
-        n = la + lb - 1
-        if min(la, lb) * (p - 1) * (p - 1) < _I64_SAFE and n <= _KRONECKER_CUTOFF:
-            out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-            return [int(c) for c in out % p]
-        return _mul_kronecker_mod(a, b, p)
-    return [c % p for c in _mul_school(a, b)]
+    if la <= _TINY and lb <= _TINY:
+        return [c % p for c in _mul_school(a, b)]
+    short = min(la, lb)
+    if short <= _KRONECKER_CUTOFF and short * (p - 1) * (p - 1) < _I64_SAFE:
+        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return (out % p).tolist()
+    return _mul_kronecker_mod(a, b, p)
 
 
 def _split_sign(cs: Sequence[int]):
@@ -108,13 +145,15 @@ def mul_int(a: Sequence[int], b: Sequence[int]) -> List[int]:
         return _mul_school(a, b)
     ha = max(abs(c) for c in a)
     hb = max(abs(c) for c in b)
-    if min(la, lb) * ha * hb < _I64_SAFE:
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return [int(c) for c in out]
-    # Kronecker with a sign split: four nonnegative products.
-    n = la + lb - 1
     bound = min(la, lb) * ha * hb
-    width = max(8, (bound.bit_length() + 7) // 8)
+    if bound < _I64_SAFE:
+        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return out.tolist()
+    # Kronecker with a sign split: four nonnegative products.  At most one
+    # of a_i^+ b_j^+ and a_i^- b_j^- is nonzero, so each sum of two still
+    # has coefficients in [0, bound].
+    n = la + lb - 1
+    width = _width(bound)
     ap, an = _split_sign(a)
     bp, bn = _split_sign(b)
     xap, xan = _pack(ap, width), _pack(an, width)
@@ -132,42 +171,55 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
     """Quotient and remainder of coefficient vectors over F_p.
 
     `b` must be nonzero (trimmed).  Returns trimmed lists.
+
+    Both loops reduce lazily: the leading entry is reduced when its
+    quotient coefficient is read off, the others only once, in the
+    remainder.  Each entry takes at most one subtraction of c * b_j
+    <= (p-1)^2 per quotient step, so after `steps` of them it stays
+    below steps * (p-1)^2 + p in size; the int64 loop needs that
+    bound under 2^62.
     """
     b = trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = trim(a)
     m = len(b) - 1
-    if len(a) - 1 < m:
+    steps = len(a) - m
+    if steps <= 0:
         return [], a
     inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    # plain Python for short inputs and for p too large for the int64
-    # step below, whose products stay below p**2 + p
-    if len(a) < 64 or (p - 1) * (p - 1) + p >= _I64_SAFE:
+    q = [0] * steps
+    if m < _DIV_SHORT or steps * (p - 1) * (p - 1) + p >= _I64_SAFE:
         r = list(a)
-        q = [0] * (len(a) - m)
-        for i in range(len(a) - 1 - m, -1, -1):
+        low = b[:m]
+        for i in range(steps - 1, -1, -1):
             c = (r[i + m] * inv_lead) % p
             q[i] = c
             if c:
-                for j, bj in enumerate(b):
-                    r[i + j] = (r[i + j] - c * bj) % p
-        return q, trim(r)
-    rv = np.asarray(a, dtype=np.int64)
-    bv = np.asarray(b, dtype=np.int64)
-    q = [0] * (len(a) - m)
-    for i in range(len(a) - 1 - m, -1, -1):
-        c = (int(rv[i + m]) * inv_lead) % p
+                for j, y in enumerate(low, i):
+                    r[j] -= c * y
+        return q, trim([x % p for x in r[:m]])
+    rv = np.array(a, dtype=np.int64)
+    bv = np.array(b[:m], dtype=np.int64)
+    prod = np.empty(m, dtype=np.int64)
+    for i in range(steps - 1, -1, -1):
+        c = (rv.item(i + m) * inv_lead) % p
         q[i] = c
         if c:
-            rv[i : i + m + 1] = (rv[i : i + m + 1] - c * bv) % p
-    return q, trim([int(c) for c in rv])
+            seg = rv[i : i + m]
+            np.multiply(bv, c, out=prod)
+            np.subtract(seg, prod, out=seg)
+    return q, trim((rv[:m] % p).tolist())
 
 
 def gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     """Monic gcd over F_p (the zero polynomial for gcd(0, 0))."""
     a, b = trim(a), trim(b)
-    if len(a) > 128 and len(b) > 128 and (p - 1) * (p - 1) + p < _I64_SAFE:
+    if (
+        len(a) > _GCD_INPLACE
+        and len(b) > _GCD_INPLACE
+        and max(len(a), len(b)) * (p - 1) * (p - 1) + p < _I64_SAFE
+    ):
         return _gcd_mod_inplace(a, b, p)
     while b:
         _, r = divrem_mod(a, b, p)
@@ -181,7 +233,12 @@ def gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
 
 
 def _gcd_mod_inplace(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    """Euclid on int64 arrays held across steps; no per-step reallocation."""
+    """Euclid on int64 arrays held across steps; no per-step reallocation.
+
+    Each division reduces lazily, as in `divrem_mod`: its steps are
+    fewer than max(len(a), len(b)), which the caller's bound covers,
+    and the remainder is reduced once before it becomes the divisor.
+    """
     ra = np.asarray(a, dtype=np.int64)
     rb = np.asarray(b, dtype=np.int64)
     da, db = len(a) - 1, len(b) - 1
@@ -189,25 +246,24 @@ def _gcd_mod_inplace(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
         ra, rb, da, db = rb, ra, db, da
     tmp = np.empty(max(da, db) + 1, dtype=np.int64)
     while db >= 0:
-        inv = pow(int(rb[db]), p - 2, p)
+        inv = pow(rb.item(db), p - 2, p)
+        t = tmp[:db]
+        low = rb[:db]
         while da >= db:
-            c = (int(ra[da]) * inv) % p
+            c = (ra.item(da) * inv) % p
             if c:
-                lo = da - db
-                seg = ra[lo : da + 1]
-                t = tmp[: db + 1]
-                np.multiply(rb[: db + 1], c, out=t)
+                seg = ra[da - db : da]
+                np.multiply(low, c, out=t)
                 np.subtract(seg, t, out=seg)
-                np.remainder(seg, p, out=seg)
             da -= 1
-            while da >= 0 and not ra[da]:
+            while da >= 0 and ra.item(da) % p == 0:
                 da -= 1
+        np.remainder(ra[: da + 1], p, out=ra[: da + 1])
         ra, rb, da, db = rb, ra, db, da
     if da < 0:
         return []
-    out = [int(c) for c in ra[: da + 1]]
+    out = ra[: da + 1].tolist()
     if out[-1] != 1:
         inv = pow(out[-1], p - 2, p)
         out = [(c * inv) % p for c in out]
     return out
-

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import _kernels as _k
 from . import numth
 from .poly import ModPoly
@@ -44,29 +46,53 @@ class CounterRng:
         self._counter = 0
         self._buf = b""
 
-    def _refill(self):
-        block = hashlib.blake2b(
-            self._counter.to_bytes(8, "little"), key=self._key, digest_size=64
-        ).digest()
-        self._counter += 1
-        self._buf += block
+    def _fill(self, size: int):
+        """Extend the buffer by whole 64-byte blocks to at least `size` bytes."""
+        short = size - len(self._buf)
+        if short > 0:
+            start = self._counter
+            self._counter += -(-short // 64)
+            self._buf += b"".join(
+                hashlib.blake2b(c.to_bytes(8, "little"), key=self._key, digest_size=64).digest()
+                for c in range(start, self._counter)
+            )
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
         if bound <= 0:
             raise ValueError("empty range")
         nbytes = (bound.bit_length() + 7) // 8 + 1
+        limit = (256**nbytes // bound) * bound
         while True:
-            while len(self._buf) < nbytes:
-                self._refill()
+            self._fill(nbytes)
             chunk, self._buf = self._buf[:nbytes], self._buf[nbytes:]
             val = int.from_bytes(chunk, "little")
-            limit = (256**nbytes // bound) * bound
             if val < limit:
                 return val % bound
 
     def coeffs(self, count: int, p: int) -> List[int]:
-        return [self.randbelow(p) for _ in range(count)]
+        """`count` successive `randbelow(p)` draws, taken in batches.
+
+        The same chunks of the same stream are read and rejected as by
+        `randbelow`, so the draws and the stream position afterwards are
+        exactly those of `[self.randbelow(p) for _ in range(count)]`.
+        """
+        nbytes = (p.bit_length() + 7) // 8 + 1
+        if p <= 0 or nbytes > 8:
+            return [self.randbelow(p) for _ in range(count)]
+        limit = (256**nbytes // p) * p
+        out: List[int] = []
+        while len(out) < count:
+            want = count - len(out)
+            # a chunk is rejected with probability below 1/256
+            k = want + (want >> 6) + 4
+            self._fill(k * nbytes)
+            vals = _k._words(self._buf, nbytes, k)
+            kept = np.flatnonzero(vals < limit)[:want]
+            used = int(kept[-1]) + 1 if len(kept) == want else k
+            out.extend((vals[kept] % p).tolist())
+            self._buf = self._buf[used * nbytes :]
+        return out
 
 
 def _poly_key(coeffs: Sequence[int], p: int) -> str:
@@ -407,11 +433,10 @@ def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
 
 def _ring_mul(a: List[int], b: List[int], n: int, p: int) -> List[int]:
     raw = _k.mul_mod(a, b, p)
-    if len(raw) > n:
-        for i in range(n, len(raw)):
-            raw[i - n] = (raw[i - n] + raw[i]) % p
-        del raw[n:]
-    return raw + [0] * (n - len(raw))
+    wrap = len(raw) - n
+    if wrap > 0:
+        return [(u + v) % p for u, v in zip(raw, raw[n:])] + raw[wrap:n]
+    return raw + [0] * -wrap
 
 
 def _ring_frobenius(a: List[int], pw: int, n: int) -> List[int]:

@@ -19,9 +19,9 @@ cyclotomic contains a palindromic irreducible factor, found via the
 odd part of phi(a(a+2))).
 
 `scan` sweeps a range and reports one row per a.  `build_certificate`
-is the one writer of the evidence format: `decide` calls it on the
-first failing pair, and `verify_certificate` calls it on the stated
-witness and compares, so verifying factors no polynomial.
+is the one writer of the evidence format: `decide` hands it the pair
+outcomes of its search, and `verify_certificate` calls it on the
+stated witness and compares, so verifying factors no polynomial.
 """
 
 from __future__ import annotations
@@ -226,8 +226,9 @@ def build_certificate(
 ) -> Certificate:
     """The certificate for a: obstructed by the failing pair `witness`.
 
-    The one writer of the evidence format, called by `decide` after its
-    search and by `verify_certificate` on the stated witness.  The
+    The one writer of the evidence format, used by `decide` on the
+    outcomes of its search and by `verify_certificate` on the stated
+    witness.  The
     witness must fail (ValueError otherwise).  With `witness=None`
     every canonical pair must pass (ValueError otherwise) and the
     Fox-Milnor status of each prime p | (a+1)/2 is recorded; by Lemma
@@ -240,27 +241,44 @@ def build_certificate(
     >>> build_certificate(15, WitnessPair(2, 17, True, "a+2")).verdict
     'ObstructedSelfReciprocal'
     """
-    tags = theorem_tags(a)
     outcomes = []
     if witness is None or all_witnesses:
         outcomes = [check_pair(a, pair) for pair in witness_pairs(a, max_a)]
+    out = None if witness is None else check_pair(a, witness)
+    return _certificate(a, out, outcomes, seed, all_witnesses, max_a)
+
+
+def _certificate(
+    a: int,
+    out: Optional[PairOutcome],
+    outcomes: List[PairOutcome],
+    seed: int,
+    all_witnesses: bool,
+    max_a: int,
+) -> Certificate:
+    """`build_certificate` from the pair outcomes already at hand.
+
+    `out` is the witness's outcome (None for no witness).  `outcomes`
+    must hold every canonical pair's outcome, in order, when `out` is
+    None or `all_witnesses` is set; otherwise it is not read.
+    """
+    tags = theorem_tags(a)
     failures = [o for o in outcomes if o.status != STATUS_PASS]
-    if witness is not None:
-        out = check_pair(a, witness)
+    if out is not None:
         ev = _pair_evidence(out)
         if out.status == STATUS_PARITY:
             verdict = VERDICT_PARITY
             ev.update(kind="parity", phi=out.count * out.order)
         elif out.status == STATUS_SELF_RECIPROCAL:
             verdict = VERDICT_SELF_RECIPROCAL
-            ev.update(kind="self_reciprocal", power_at_w=pow(witness.p, out.w, witness.d))
+            ev.update(kind="self_reciprocal", power_at_w=pow(out.pair.p, out.w, out.pair.d))
         else:
-            raise ValueError(f"pair (p={witness.p}, d={witness.d}) passes both conditions")
+            raise ValueError(f"pair (p={out.pair.p}, d={out.pair.d}) passes both conditions")
         if all_witnesses:
             ev["all_failures"] = [
                 {"p": o.pair.p, "d": o.pair.d, "status": o.status} for o in failures
             ]
-        return Certificate(a, verdict, witness, ev, tags, seed, __version__)
+        return Certificate(a, verdict, out.pair, ev, tags, seed, __version__)
 
     if failures:
         o = failures[0]
@@ -294,21 +312,26 @@ def decide(
 
     Pairs are checked in canonical order by closed form (`check_pair`)
     and the first failure is the witness; by Lemma (a) its d is prime.
-    With no failure the verdict is Inconclusive.  `build_certificate`
-    writes the certificate either way.  No polynomial is factored or
-    searched.
+    With no failure the verdict is Inconclusive.  The outcomes of this
+    one walk go to the writer behind `build_certificate`, so no pair is
+    checked twice (`all_witnesses` walks on past the first failure).
+    No polynomial is factored or searched.
 
     >>> decide(3).verdict
     'ObstructedParity'
     >>> (decide(3).witness.p, decide(3).witness.d)
     (2, 3)
     """
-    witness = next(
-        (pair for pair in witness_pairs(a, max_a)
-         if check_pair(a, pair).status != STATUS_PASS),
-        None,
-    )
-    return build_certificate(a, witness, seed, all_witnesses, max_a)
+    outcomes = []
+    found = None
+    for pair in witness_pairs(a, max_a):
+        out = check_pair(a, pair)
+        outcomes.append(out)
+        if found is None and out.status != STATUS_PASS:
+            found = out
+            if not all_witnesses:
+                break
+    return _certificate(a, found, outcomes, seed, all_witnesses, max_a)
 
 
 # ---------------------------------------------------------------------------

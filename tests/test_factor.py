@@ -67,6 +67,42 @@ def test_counter_rng_is_deterministic_and_seed_sensitive():
     assert all(0 <= x < 7 for x in CounterRng(0, b"t").coeffs(50, 7))
 
 
+@pytest.mark.parametrize("p", [2, 3, 97, 251, 257, 65521])
+def test_counter_rng_batched_coeffs_are_the_randbelow_stream(p):
+    # draws of 2 bytes (p < 256) and 3 bytes (256 <= p < 65536); the counts
+    # and the 5-byte draw before them put the 64-byte block refills at
+    # every offset within a batch
+    nbytes = (p.bit_length() + 7) // 8 + 1
+    per_block = 64 // nbytes
+    for count in (0, 1, per_block - 1, per_block, per_block + 1, 64, 65, 500, 1000):
+        for lead in (False, True):
+            batch = CounterRng(3, "stream", p, count)
+            single = CounterRng(3, "stream", p, count)
+            if lead:
+                assert batch.randbelow(2**32) == single.randbelow(2**32)
+            assert batch.coeffs(count, p) == [single.randbelow(p) for _ in range(count)]
+            assert batch.randbelow(p) == single.randbelow(p)
+            assert batch.randbelow(10**30) == single.randbelow(10**30)
+
+
+def test_counter_rng_batched_coeffs_reject_as_randbelow_does():
+    # 65536 mod 251 = 25, so about one 2-byte chunk in 2600 is rejected;
+    # a 20000-draw batch must skip exactly the chunks randbelow skips
+    p, count = 251, 20000
+    batch, single = CounterRng(9, "reject"), CounterRng(9, "reject")
+    assert batch.coeffs(count, p) == [single.randbelow(p) for _ in range(count)]
+    consumed = 64 * single._counter - len(single._buf)
+    assert consumed > 2 * count  # some chunks were rejected
+    assert 64 * batch._counter - len(batch._buf) == consumed
+    assert batch.randbelow(p) == single.randbelow(p)
+
+
+def test_counter_rng_coeffs_past_eight_byte_draws():
+    for p in ((1 << 61) - 1, (1 << 89) - 1):
+        batch, single = CounterRng(p), CounterRng(p)
+        assert batch.coeffs(40, p) == [single.randbelow(p) for _ in range(40)]
+
+
 def test_squarefree_decomposition_separates_multiplicities():
     p = 2
     g = ModPoly(p, [1, 1, 1])

@@ -1,0 +1,357 @@
+"""Coefficient kernels against a schoolbook reference, at every path boundary.
+
+Each kernel picks its path from the operand lengths and a worst-case
+int64 bound (see the `_kernels` module docstring).  These tests sit on
+both sides of every cutoff and of every bound, and compare with plain
+Python arithmetic that shares no code with the kernels.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from pretzelslice import _kernels as _k
+from pretzelslice import factor as _factor
+
+M61 = (1 << 61) - 1
+P31 = (1 << 31) - 1  # the largest prime below 2^31
+PRIMES = (2, 3, 5, 13, 97, 251, 257, 4099, 65521, 65537, 1048573, 16777213, P31, M61)
+
+
+def ref_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_mul_mod(a, b, p):
+    return [c % p for c in ref_mul(a, b)]
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_divrem(a, b, p):
+    """Long division reducing every entry at every step."""
+    a, b = ref_trim(a), ref_trim(b)
+    r = list(a)
+    m = len(b) - 1
+    if len(a) <= m:
+        return [], r
+    inv = pow(b[-1], -1, p)
+    q = [0] * (len(a) - m)
+    for i in range(len(a) - 1 - m, -1, -1):
+        c = r[i + m] * inv % p
+        q[i] = c
+        for j, y in enumerate(b):
+            r[i + j] = (r[i + j] - c * y) % p
+    return q, ref_trim(r)
+
+
+def ref_gcd(a, b, p):
+    a, b = ref_trim(a), ref_trim(b)
+    while b:
+        a, b = b, ref_divrem(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def vec(rng, n, p, top=None):
+    """n coefficients in [0, p) with a nonzero leading one."""
+    return [rng.randrange(p) for _ in range(n - 1)] + [top or rng.randrange(1, p)]
+
+
+def spy(monkeypatch, name):
+    """Count the calls of _kernels.<name>."""
+    calls = []
+    orig = getattr(_k, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(_k, name, wrapped)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# multiplication
+
+
+@pytest.mark.parametrize("p", [2, 97, 65521])
+@pytest.mark.parametrize("la, lb", [
+    (_k._TINY, _k._TINY),
+    (_k._TINY, _k._TINY + 1),
+    (_k._TINY + 1, 1),
+    (1, _k._TINY + 1),
+])
+def test_mul_mod_at_the_schoolbook_cutoff(p, la, lb, monkeypatch):
+    school = spy(monkeypatch, "_mul_school")
+    rng = random.Random(la * 1000 + lb + p)
+    a, b = vec(rng, la, p), vec(rng, lb, p)
+    assert _k.mul_mod(a, b, p) == ref_mul_mod(a, b, p)
+    assert len(school) == (la <= _k._TINY and lb <= _k._TINY)
+
+
+@pytest.mark.parametrize("p", [2, 97, 65521])
+@pytest.mark.parametrize("short, long", [
+    (_k._KRONECKER_CUTOFF, _k._KRONECKER_CUTOFF),
+    (_k._KRONECKER_CUTOFF + 1, _k._KRONECKER_CUTOFF + 1),
+    (_k._KRONECKER_CUTOFF, 4 * _k._KRONECKER_CUTOFF + 1),
+    (_k._KRONECKER_CUTOFF + 1, 4 * _k._KRONECKER_CUTOFF + 1),
+])
+def test_mul_mod_at_the_kronecker_cutoff(p, short, long, monkeypatch):
+    packed = spy(monkeypatch, "_mul_kronecker_mod")
+    rng = random.Random(short * 7 + long + p)
+    a, b = vec(rng, long, p), vec(rng, short, p)
+    assert _k.mul_mod(a, b, p) == ref_mul_mod(a, b, p)
+    assert _k.mul_mod(b, a, p) == ref_mul_mod(a, b, p)
+    assert len(packed) == 2 * (short > _k._KRONECKER_CUTOFF)
+
+
+def test_mul_mod_packs_past_the_int64_bound_at_any_length(monkeypatch):
+    packed = spy(monkeypatch, "_mul_kronecker_mod")
+    rng = random.Random(31)
+    # (2^31 - 2)^2 is just below 2^62: a single coefficient of the shorter
+    # operand still fits the int64 convolution, two do not
+    for p in (P31, M61):
+        for la, lb in ((_k._TINY + 1, 1), (_k._TINY + 1, 2), (40, 40)):
+            a, b = vec(rng, la, p), vec(rng, lb, p)
+            before = len(packed)
+            assert _k.mul_mod(a, b, p) == ref_mul_mod(a, b, p)
+            fits = min(la, lb) * (p - 1) ** 2 < _k._I64_SAFE
+            assert len(packed) - before == (not fits)
+    assert len(packed) == 5
+
+
+def _width_cases():
+    """(p, length) per packed width: the first hit for each width 1..9."""
+    cases = {}
+    for length in (1, 2, 8, 64, 300):
+        for p in PRIMES:
+            w = _k._width(length * (p - 1) ** 2)
+            cases.setdefault(w, (p, length))
+    return cases
+
+
+def test_width_cases_cover_one_through_nine_bytes():
+    assert set(range(1, 10)) <= set(_width_cases())
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_kronecker_product_at_each_packed_width(width):
+    p, length = _width_cases()[width]
+    rng = random.Random(width)
+    for la, lb in ((length, length), (length, length + 3), (length + 5, length)):
+        a, b = vec(rng, la, p), vec(rng, lb, p)
+        # the extreme coefficient p - 1 everywhere hits the width's bound
+        top = [p - 1] * la, [p - 1] * lb
+        for x, y in ((a, b), top):
+            assert _k._mul_kronecker_mod(x, y, p) == ref_mul_mod(x, y, p)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 9, 16])
+def test_pack_unpack_round_trip(width):
+    rng = random.Random(width)
+    top = 256**width - 1
+    cs = [0, top, 1, top - 1] + [rng.randrange(top + 1) for _ in range(40)] + [top]
+    x = _k._pack(cs, width)
+    assert _k._unpack(x, width, len(cs), 0) == cs
+    assert _k._unpack(x, width, len(cs), 97) == [c % 97 for c in cs]
+
+
+def test_exact_width_is_the_byte_length_of_the_bound():
+    assert _k._width(1) == 1
+    assert _k._width(255) == 1
+    assert _k._width(256) == 2
+    # p <= 100 and n <= 500: three bytes, not eight
+    assert _k._width(500 * 96 * 96) == 3
+    assert _k._width(2**64 - 1) == 8
+    assert _k._width(2**64) == 9
+
+
+@pytest.mark.parametrize("la, lb", [
+    (_k._TINY, _k._TINY),
+    (_k._TINY + 1, _k._TINY),
+    (_k._KRONECKER_CUTOFF, _k._KRONECKER_CUTOFF + 1),
+    (_k._KRONECKER_CUTOFF + 1, _k._KRONECKER_CUTOFF + 1),
+])
+@pytest.mark.parametrize("height", [3, 1 << 20, 1 << 40, 1 << 70])
+def test_mul_int_signed_against_schoolbook(la, lb, height):
+    rng = random.Random(la + lb + height)
+    a = [rng.randint(-height, height) for _ in range(la)]
+    b = [rng.randint(-height, height) for _ in range(lb)]
+    a[0], b[-1] = -height, height  # the extremes, with both signs
+    assert _k.mul_int(a, b) == ref_mul(a, b)
+
+
+def test_mul_int_packed_widths_with_both_signs():
+    rng = random.Random(7)
+    # bound = min(la, lb) * ha * hb at 8, 9 and 17 bytes
+    for height, la, lb in ((1 << 31, 40, 41), (1 << 32, 40, 41), (1 << 63, 33, 50)):
+        a = [rng.choice((-1, 1)) * rng.randrange(height) for _ in range(la)]
+        b = [rng.choice((-1, 1)) * rng.randrange(height) for _ in range(lb)]
+        a[-1], b[0] = height, -height
+        assert _k.mul_int(a, b) == ref_mul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# division
+
+
+def _check_divrem(a, b, p):
+    q, r = _k.divrem_mod(a, b, p)
+    assert (q, r) == ref_divrem(a, b, p)
+
+
+@pytest.mark.parametrize("m", [_k._DIV_SHORT - 1, _k._DIV_SHORT])
+@pytest.mark.parametrize("steps", [1, 2, 64, 300])
+@pytest.mark.parametrize("p", [2, 97, 65521])
+def test_divrem_at_the_divisor_degree_cutoff(m, steps, p, monkeypatch):
+    rng = random.Random(m * 1000 + steps + p)
+    b = vec(rng, m + 1, p)
+    a = vec(rng, m + steps, p)
+    for divisor in (b, b[:-1] + [1]):
+        got, used = in_int64(monkeypatch, _k.divrem_mod, a, divisor, p)
+        assert used == (m >= _k._DIV_SHORT)
+        assert got == ref_divrem(a, divisor, p)
+    a, b = worst_division(p, m, steps)
+    _check_divrem(a, b, p)
+
+
+def _prime_at_or_below(n):
+    from pretzelslice import numth
+
+    while not numth.is_prime(n):
+        n -= 1
+    return n
+
+
+class NumpyCounter:
+    """numpy, counting `np.array` calls: the int64 division loop makes two."""
+
+    def __init__(self):
+        self.arrays = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, **kwargs):
+        self.arrays += 1
+        return np.array(*args, **kwargs)
+
+
+def in_int64(monkeypatch, fn, *args):
+    """fn(*args) and whether it built int64 arrays in `_kernels`."""
+    counter = NumpyCounter()
+    monkeypatch.setattr(_k, "np", counter)
+    out = fn(*args)
+    monkeypatch.setattr(_k, "np", np)
+    return out, counter.arrays > 0
+
+
+def worst_division(p, m, steps):
+    """Dividend and divisor whose quotient is all p - 1 against a divisor
+    of p - 1's: every step subtracts the most, (p-1)^2, from every entry
+    below the lead, and the entries grow as fast as they can."""
+    b = [p - 1] * m + [1]
+    a = [(k - 1) % p for k in range(m + steps - 1, 0, -1)] + [p - 1]
+    return a, b
+
+
+@pytest.mark.parametrize("p_bits", [26, 28, 30])
+def test_divrem_at_the_int64_step_bound(p_bits, monkeypatch):
+    p = _prime_at_or_below(1 << p_bits)
+    # the longest division the int64 loop takes, and one step more
+    most = (_k._I64_SAFE - p - 1) // ((p - 1) ** 2)
+    assert most * (p - 1) ** 2 + p < _k._I64_SAFE <= (most + 1) * (p - 1) ** 2 + p
+    m = max(_k._DIV_SHORT, most + 1)
+    rng = random.Random(p)
+    for steps, int64 in ((most, True), (most + 1, False)):
+        a, b = worst_division(p, m, steps)
+        (q, r), used = in_int64(monkeypatch, _k.divrem_mod, a, b, p)
+        assert used == int64
+        assert q == [p - 1] * steps
+        assert (q, r) == ref_divrem(a, b, p)
+        a, b = vec(rng, m + steps, p), vec(rng, m + 1, p)
+        got, used = in_int64(monkeypatch, _k.divrem_mod, a, b, p)
+        assert used == int64
+        assert got == ref_divrem(a, b, p)
+
+
+def test_divrem_with_moduli_past_int64():
+    rng = random.Random(61)
+    for p in (M61, (1 << 89) - 1):
+        for la, lb in ((5, 1), (64, 9), (130, 64), (80, _k._DIV_SHORT + 1)):
+            _check_divrem(vec(rng, la, p), vec(rng, lb, p), p)
+        a, b = worst_division(p, 40, 40)
+        _check_divrem(a, b, p)
+
+
+def test_divrem_short_dividend_and_zero_divisor():
+    assert _k.divrem_mod([1, 2], [3, 4, 5], 7) == ([], [1, 2])
+    assert _k.divrem_mod([0, 0], [1, 1], 7) == ([], [])
+    with pytest.raises(ZeroDivisionError):
+        _k.divrem_mod([1, 2], [0, 0], 7)
+
+
+# ---------------------------------------------------------------------------
+# gcd
+
+
+@pytest.mark.parametrize("n", [_k._GCD_INPLACE, _k._GCD_INPLACE + 1, 2 * _k._GCD_INPLACE])
+@pytest.mark.parametrize("p", [2, 97, 65521, P31])
+def test_gcd_at_the_inplace_cutoff(n, p):
+    rng = random.Random(n + p)
+    g = vec(rng, 17, p, top=1)
+    u = vec(rng, n - 16, p)
+    v = vec(rng, n - 15, p)
+    a, b = ref_mul_mod(g, u, p), ref_mul_mod(g, v, p)
+    got = _k.gcd_mod(a, b, p)
+    assert got == ref_gcd(a, b, p)
+    assert got == _k.gcd_mod(b, a, p)
+    assert len(got) >= 17
+    # coprime inputs of the same lengths
+    a, b = vec(rng, n, p), vec(rng, n + 1, p)
+    assert _k.gcd_mod(a, b, p) == ref_gcd(a, b, p)
+
+
+def test_gcd_of_zeros_and_units():
+    assert _k.gcd_mod([], [], 5) == []
+    assert _k.gcd_mod([0, 3], [], 5) == [0, 1]
+    assert _k.gcd_mod([2], [1, 1], 5) == [1]
+
+
+# ---------------------------------------------------------------------------
+# the cyclic ring F_p[t]/(t^n - 1)
+
+
+def ref_cyclic(a, b, n, p):
+    out = [0] * n
+    for k, c in enumerate(ref_mul(a, b)):
+        out[k % n] += c
+    return [c % p for c in out]
+
+
+@pytest.mark.parametrize("n", [1, 2, _k._TINY, _k._TINY + 1, 97, _k._KRONECKER_CUTOFF + 1, 499])
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_ring_mul_is_the_product_reduced_mod_t_n_minus_1(n, p):
+    rng = random.Random(n * 101 + p)
+    a = [rng.randrange(p) for _ in range(n)]
+    b = [rng.randrange(p) for _ in range(n)]
+    got = _factor._ring_mul(a, b, n, p)
+    assert len(got) == n
+    assert got == ref_cyclic(a, b, n, p)
+    # also against mul_mod followed by the reduction
+    raw = _k.mul_mod(a, b, p)
+    want = [sum(raw[k::n]) % p for k in range(n)]
+    assert got == want

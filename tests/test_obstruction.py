@@ -172,6 +172,33 @@ def test_decide_all_witnesses_collects_failures():
     assert {(f["p"], f["d"]) for f in failing} == {(2, 3), (2, 5), (2, 17)}
 
 
+@pytest.mark.parametrize("a, all_witnesses", [
+    (3, False), (15, False), (49, False), (1081, False), (17521, False),
+    (15, True), (105, True),
+])
+def test_decide_checks_each_pair_once(a, all_witnesses, monkeypatch):
+    checked = []
+    orig = ob.check_pair
+
+    def counting(a_, pair):
+        checked.append((pair.p, pair.d))
+        return orig(a_, pair)
+
+    monkeypatch.setattr(ob, "check_pair", counting)
+    cert = ob.decide(a, all_witnesses=all_witnesses)
+    pairs = pairs_of(a)
+    if cert.witness is None or all_witnesses:
+        assert checked == pairs
+    else:
+        assert checked == pairs[: pairs.index((cert.witness.p, cert.witness.d)) + 1]
+    # the certificate is the one verify rebuilds from the stated witness
+    monkeypatch.setattr(ob, "check_pair", orig)
+    data = ob.certificate_to_json(cert)
+    assert ob.verify_certificate(data) == (True, [])
+    rebuilt = ob.build_certificate(a, cert.witness, all_witnesses=all_witnesses)
+    assert ob.certificate_to_json(rebuilt) == data
+
+
 def test_parity_witness_branches():
     pw, ev = ob.parity_witness(11)
     assert (pw.p, pw.d) == (2, 11) and ev["branch"] == "a=3 mod 8"
