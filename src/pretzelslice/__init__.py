@@ -8,71 +8,63 @@ the outcome into certificates that re-verify from their own evidence.
 >>> from pretzelslice import decide
 >>> decide(3).verdict
 'ObstructedParity'
+
+Importing the package loads only its version.  Each public name is
+imported from its submodule on first access (PEP 562), so `check`,
+`scan` and `verify` never load the polynomial stack and numpy.
 """
 
 from ._version import __version__
-from .cyclotomic import (
-    CyclotomicQuery,
-    count_irreducible_factors,
-    cyclotomic_poly,
-    factor_cyclotomic_oracle,
-    has_self_reciprocal_factor,
-)
-# the submodule's `factor` function is reachable as pretzelslice.factor.factor;
-# re-exporting it here would shadow the submodule itself
-from .factor import factor_cyclic, fox_milnor_mod_p, is_irreducible
-from .numth import factorize, is_prime, legendre, mult_order, totient
-from .obstruction import (
-    Certificate,
-    ScanReport,
-    WitnessPair,
-    certificate_to_json,
-    check_pair,
-    decide,
-    parity_witness,
-    scan,
-    self_reciprocal_witness,
-    verify_certificate,
-    witness_pairs,
-)
-from .poly import IntPoly, ModPoly
-from .pretzel import (
-    PretzelKnot,
-    alexander_mod_p,
-    alexander_poly,
-    fox_milnor_status,
-)
 
-__all__ = [
-    "__version__",
-    "Certificate",
-    "CyclotomicQuery",
-    "IntPoly",
-    "ModPoly",
-    "PretzelKnot",
-    "ScanReport",
-    "WitnessPair",
-    "alexander_mod_p",
-    "alexander_poly",
-    "certificate_to_json",
-    "check_pair",
-    "count_irreducible_factors",
-    "cyclotomic_poly",
-    "decide",
-    "factor_cyclic",
-    "factor_cyclotomic_oracle",
-    "factorize",
-    "fox_milnor_mod_p",
-    "fox_milnor_status",
-    "has_self_reciprocal_factor",
-    "is_irreducible",
-    "is_prime",
-    "legendre",
-    "mult_order",
-    "parity_witness",
-    "scan",
-    "self_reciprocal_witness",
-    "totient",
-    "verify_certificate",
-    "witness_pairs",
-]
+# public name -> the submodule that defines it.  The submodule `factor`'s
+# `factor` function is reachable as pretzelslice.factor.factor; exporting
+# it here would shadow the submodule itself.
+_EXPORTS = {
+    "Certificate": "obstruction",
+    "CyclotomicQuery": "numth",
+    "IntPoly": "poly",
+    "ModPoly": "poly",
+    "PretzelKnot": "pretzel",
+    "ScanReport": "obstruction",
+    "WitnessPair": "obstruction",
+    "alexander_mod_p": "pretzel",
+    "alexander_poly": "pretzel",
+    "certificate_to_json": "obstruction",
+    "check_pair": "obstruction",
+    "count_irreducible_factors": "numth",
+    "cyclotomic_poly": "cyclotomic",
+    "decide": "obstruction",
+    "factor_cyclic": "factor",
+    "factor_cyclotomic_oracle": "cyclotomic",
+    "factorize": "numth",
+    "fox_milnor_mod_p": "factor",
+    "fox_milnor_status": "pretzel",
+    "has_self_reciprocal_factor": "numth",
+    "is_irreducible": "factor",
+    "is_prime": "numth",
+    "legendre": "numth",
+    "mult_order": "numth",
+    "parity_witness": "obstruction",
+    "scan": "obstruction",
+    "self_reciprocal_witness": "obstruction",
+    "totient": "numth",
+    "verify_certificate": "obstruction",
+    "witness_pairs": "obstruction",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

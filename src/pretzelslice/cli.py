@@ -29,8 +29,7 @@ from typing import List, Optional
 
 from . import numth, obstruction, pretzel
 from ._version import __version__
-from .cyclotomic import CyclotomicQuery, factor_cyclotomic_oracle
-from .factor import DEFAULT_SEED
+from .numth import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -164,6 +163,9 @@ def cmd_scan(args, cfg: Config) -> int:
 
 
 def _inspect_cyclotomic(args, cfg: Config) -> int:
+    # the factorization oracle; `check`, `scan` and `verify` never load it
+    from .cyclotomic import CyclotomicQuery, factor_cyclotomic_oracle
+
     q = CyclotomicQuery(args.d, args.p)
     ms = factor_cyclotomic_oracle(q, cfg.seed)
     print(f"Phi_{args.d} mod {args.p} splits into {len(ms.factors)} "

@@ -1,4 +1,4 @@
-"""Cyclotomic polynomials and the two factor criteria used by the pipeline.
+"""Cyclotomic polynomials and the factorization oracles.
 
 For a prime p not dividing d, the reduction of the d-th cyclotomic
 polynomial mod p splits into phi(d)/ord_d(p) distinct irreducible
@@ -9,23 +9,33 @@ drive everything downstream:
   is a quadratic residue mod d)
 * does some irreducible factor coincide with its own reversal?  (for
   every d >= 3 this is exactly whether -1 is a power of p mod d; the
-  proof is in `has_self_reciprocal_factor`)
+  proof is in `numth.has_self_reciprocal_factor`)
 
-Both are answered here by closed-form arithmetic, for prime and
-composite d alike.  The oracle routes at the bottom answer the same
-questions by actually factoring; they serve tests and `inspect`, and
-neither the decision pipeline nor certificate verification calls them.
+Both are answered by closed-form arithmetic, for prime and composite d
+alike, in `numth` (`count_irreducible_factors`,
+`has_self_reciprocal_factor`, `CyclotomicQuery`): the decision
+pipeline and certificate verification need nothing else, and `numth`
+imports no polynomial code.  This module is the oracle layer.  It
+builds Phi_d, reduces it mod p, and answers the same questions by
+actually factoring; the oracles serve tests and `inspect`.  It
+re-exports the closed forms as the same objects, so that oracle and
+closed form are asked side by side from one place and a wrapper put
+on `cyclotomic.count_irreducible_factors` reaches every caller.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import factor as _factor
 from . import numth
+from .numth import (  # re-exported, see above
+    CyclotomicQuery,
+    FactorCountReport,
+    SelfReciprocalReport,
+    count_irreducible_factors,
+    has_self_reciprocal_factor,
+)
 from .poly import IntPoly, ModPoly, reduce_mod
 
 _MEMO: Dict[int, IntPoly] = {}
@@ -71,160 +81,9 @@ def cyclotomic_poly(d: int) -> IntPoly:
     return f
 
 
-def _cyclotomic_by_division(d: int) -> IntPoly:
-    # the textbook recursion; kept as a cross-check for the fast route
-    num = IntPoly([-1] + [0] * (d - 1) + [1])
-    for e in range(1, d):
-        if d % e == 0:
-            num = num.exact_div(_cyclotomic_by_division(e))
-    return num
-
-
-@dataclass(frozen=True)
-class CyclotomicQuery:
-    """A pair (d, p): which cyclotomic, reduced mod which prime."""
-
-    d: int
-    p: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("need d >= 2")
-        if not numth.is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if math.gcd(self.p, self.d) != 1:
-            raise ValueError(f"p = {self.p} divides d = {self.d}")
-
-    @property
-    def d_is_prime(self) -> bool:
-        return numth.is_prime(self.d)
-
-
 def reduced(q: CyclotomicQuery) -> ModPoly:
     """The mod-p reduction of the d-th cyclotomic polynomial, monic."""
     return reduce_mod(cyclotomic_poly(q.d), q.p)
-
-
-@dataclass(frozen=True)
-class FactorCountReport:
-    """Count and shape of the irreducible factors of a reduced cyclotomic.
-
-    count * degree_each = phi(d); all factors share degree ord_d(p).
-    legendre_check is filled for odd prime d, where evenness of the
-    count is equivalent to p being a quadratic residue mod d.
-    """
-
-    d: int
-    p: int
-    count: int
-    degree_each: int
-    parity: str
-    legendre_check: Optional[int]
-
-
-# bounded memo: building a certificate asks about each (d, p) repeatedly
-@functools.lru_cache(maxsize=512)
-def count_irreducible_factors(q: CyclotomicQuery) -> FactorCountReport:
-    """Closed-form factor count of the reduced cyclotomic: phi(d)/ord_d(p).
-
-    >>> count_irreducible_factors(CyclotomicQuery(7, 2))
-    FactorCountReport(d=7, p=2, count=2, degree_each=3, parity='even', legendre_check=1)
-    >>> count_irreducible_factors(CyclotomicQuery(3, 2)).parity
-    'odd'
-    """
-    phi = numth.totient(numth.factorize(q.d))
-    order = numth.mult_order(q.p, q.d)
-    if phi % order:  # pragma: no cover
-        raise ArithmeticError("order does not divide the group order")
-    count = phi // order
-    parity = "even" if count % 2 == 0 else "odd"
-    check = None
-    if q.d != 2 and q.d_is_prime:
-        check = numth.legendre(q.p, q.d)
-        if (check == 1) != (parity == "even"):  # pragma: no cover
-            raise ArithmeticError(f"parity/residue mismatch for {q}")
-    return FactorCountReport(q.d, q.p, count, order, parity, check)
-
-
-def parity_via_legendre(p: int, d: int) -> str:
-    """Parity of the factor count straight from the Legendre symbol.
-
-    Only meaningful for odd prime d distinct from p.
-
-    >>> parity_via_legendre(2, 7), parity_via_legendre(2, 3), parity_via_legendre(3, 5)
-    ('even', 'odd', 'odd')
-    """
-    if not numth.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == d:
-        raise ValueError("p and d must be distinct")
-    return "even" if numth.legendre(p, d) == 1 else "odd"
-
-
-@dataclass(frozen=True)
-class SelfReciprocalReport:
-    """Evidence for/against a self-reciprocal irreducible factor.
-
-    exists is decided by whether -1 lies in the powers of p mod d,
-    witnessed by w = ord/2 with p^w = -1 when it does (proved for every
-    d >= 3 in `has_self_reciprocal_factor`).  The companion route
-    checks p^u mod d for u the odd part of phi(d).  For prime d the two
-    agree (and this is asserted); for composite d the unit group need
-    not be cyclic and the odd-part route is only recorded.
-    """
-
-    d: int
-    p: int
-    exists: bool
-    order: int
-    w: Optional[int]
-    u_odd_part: int
-    power_at_u: int
-    odd_part_route: bool
-    routes_agree: Optional[bool]
-
-
-@functools.lru_cache(maxsize=512)  # bounded memo, as above
-def has_self_reciprocal_factor(q: CyclotomicQuery) -> SelfReciprocalReport:
-    """Does the reduced cyclotomic have a self-reciprocal irreducible factor?
-
-    Yes iff -1 is a power of p mod d, for every d >= 3 with p not
-    dividing d.  Proof: Phi_d is separable mod p and its roots in an
-    extension of F_p are the primitive d-th roots of unity z^x, x in
-    (Z/d)^*.  Frobenius maps z^x to z^(px), so the irreducible factors
-    correspond to the cosets x<p> of <p> in (Z/d)^*, each of degree
-    ord_d(p) (whence the count phi(d)/ord_d(p)).  Reversal sends a
-    factor's roots to their inverses, that is the coset x<p> to
-    -x<p>.  A factor is self-reciprocal iff -x<p> = x<p>, iff -1 lies
-    in <p>; this does not depend on x, so one factor is
-    self-reciprocal iff all are.  Since d >= 3, -1 != 1 mod d and
-    -1 lies in <p> iff ord_d(p) = 2w is even with p^w = -1 mod d (the
-    unique element of order 2 in a cyclic group).
-
-    >>> has_self_reciprocal_factor(CyclotomicQuery(3, 2)).exists
-    True
-    >>> has_self_reciprocal_factor(CyclotomicQuery(7, 2)).exists
-    False
-    >>> r = has_self_reciprocal_factor(CyclotomicQuery(9, 2))
-    >>> r.exists, r.w
-    (True, 3)
-    """
-    if q.d < 3:
-        raise ValueError("criterion needs d >= 3")
-    order = numth.mult_order(q.p, q.d)
-    w = order // 2 if order % 2 == 0 else None
-    exists = w is not None and pow(q.p, w, q.d) == q.d - 1
-    if not exists:
-        w = None
-    u = numth.valuation(numth.totient(numth.factorize(q.d)), 2).u
-    power_at_u = pow(q.p, u, q.d)
-    odd_part_route = power_at_u != 1
-    agree = exists == odd_part_route
-    if q.d_is_prime and not agree:  # pragma: no cover
-        raise ArithmeticError(f"equivalent criteria disagree for {q}")
-    return SelfReciprocalReport(
-        q.d, q.p, exists, order, w, u, power_at_u, odd_part_route, agree
-    )
 
 
 # ---------------------------------------------------------------------------

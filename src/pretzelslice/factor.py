@@ -28,9 +28,8 @@ import numpy as np
 
 from . import _kernels as _k
 from . import numth
+from .numth import DEFAULT_SEED
 from .poly import ModPoly
-
-DEFAULT_SEED = 0
 
 # Full equal-degree factorization is the oracle of choice up to this
 # degree; past it the gcd-certificate routes stay exact but cheaper.
@@ -528,7 +527,7 @@ def _edf_cyclic(
                 w[0] = (w[0] - 1) % p
             # one reduction from ring size down to the class product,
             # then cheap per-piece reductions from there
-            wred = ModPoly(p, w).divrem(anchor[k])[1]
+            wred = ModPoly._of(p, _k.trim(w)).divrem(anchor[k])[1]
             still: List[ModPoly] = []
             for piece in pending[k]:
                 g = piece.gcd(wred.divrem(piece)[1])

@@ -1,9 +1,19 @@
-"""Integer number theory: primality, factoring, orders, Legendre symbols.
+"""Integer number theory and the two closed forms the decision rests on.
 
 Everything here is deterministic.  Primality uses the Miller-Rabin base
 set that is exact below 2^64; factoring runs trial division over a small
 sieve and finishes with Brent's cycle finder using a fixed parameter
 sequence, so the same input always walks the same path.
+
+This module is the bottom of the arithmetic core (`numth`, `pretzel`,
+`obstruction`, `cli`), which never imports the polynomial stack
+(`poly`, `_kernels`, `factor`, numpy).  So the closed forms about
+Phi_d mod p for a pair (d, p) live here, at the end of the module:
+the factor count phi(d)/ord_d(p) (`count_irreducible_factors`) and
+the self-reciprocal criterion -1 in <p> mod d
+(`has_self_reciprocal_factor`).  `cyclotomic`, the oracle module that
+answers the same questions by factoring, re-exports both as the same
+objects.
 """
 
 from __future__ import annotations
@@ -11,7 +21,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
+
+# Seed recorded in certificates and keying the factorization oracle's
+# random splits; only the oracle (`factor`) draws from it.
+DEFAULT_SEED = 0
 
 # Witnesses making Miller-Rabin exact for all n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -210,37 +224,6 @@ def legendre(n: int, d: int) -> int:
     return 1 if r == 1 else -1
 
 
-def legendre_reciprocity(n: int, d: int) -> int:
-    """Legendre symbol (n/d) evaluated by the classical reduction rules.
-
-    Periodicity, multiplicativity, the supplements for -1 and 2, and
-    quadratic reciprocity for odd prime entries; the numerator is
-    factored so reciprocity is only ever applied to primes.  Kept as an
-    independent route that must agree with :func:`legendre` everywhere.
-    """
-    _require_odd_prime(d)
-    n %= d
-    if n == 0:
-        return 0
-    if n == 1:
-        return 1
-    sign = 1
-    while n % 2 == 0:
-        n //= 2
-        if d % 8 in (3, 5):
-            sign = -sign
-    if n == 1:
-        return sign
-    for q, e in factorize(n):
-        if e % 2 == 0:
-            continue
-        if q == d:
-            return 0
-        flip = -1 if (q % 4 == 3 and d % 4 == 3) else 1
-        sign *= flip * legendre_reciprocity(d % q, q)
-    return sign
-
-
 @dataclass(frozen=True)
 class Valuation:
     """n = q**v * u with q not dividing u; u keeps the sign of n."""
@@ -264,3 +247,134 @@ def valuation(n: int, q: int) -> Valuation:
         n //= q
         v += 1
     return Valuation(v, n)
+
+
+# ---------------------------------------------------------------------------
+# closed forms for Phi_d mod p
+
+
+@dataclass(frozen=True)
+class CyclotomicQuery:
+    """A pair (d, p): which cyclotomic, reduced mod which prime."""
+
+    d: int
+    p: int
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("need d >= 2")
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        if math.gcd(self.p, self.d) != 1:
+            raise ValueError(f"p = {self.p} divides d = {self.d}")
+
+    @property
+    def d_is_prime(self) -> bool:
+        return is_prime(self.d)
+
+
+@dataclass(frozen=True)
+class FactorCountReport:
+    """Count and shape of the irreducible factors of a reduced cyclotomic.
+
+    count * degree_each = phi(d); all factors share degree ord_d(p).
+    legendre_check is filled for odd prime d, where evenness of the
+    count is equivalent to p being a quadratic residue mod d.
+    """
+
+    d: int
+    p: int
+    count: int
+    degree_each: int
+    parity: str
+    legendre_check: Optional[int]
+
+
+# bounded memo: building a certificate asks about each (d, p) repeatedly
+@functools.lru_cache(maxsize=512)
+def count_irreducible_factors(q: CyclotomicQuery) -> FactorCountReport:
+    """Closed-form factor count of the reduced cyclotomic: phi(d)/ord_d(p).
+
+    >>> count_irreducible_factors(CyclotomicQuery(7, 2))
+    FactorCountReport(d=7, p=2, count=2, degree_each=3, parity='even', legendre_check=1)
+    >>> count_irreducible_factors(CyclotomicQuery(3, 2)).parity
+    'odd'
+    """
+    phi = totient(factorize(q.d))
+    order = mult_order(q.p, q.d)
+    if phi % order:  # pragma: no cover
+        raise ArithmeticError("order does not divide the group order")
+    count = phi // order
+    parity = "even" if count % 2 == 0 else "odd"
+    check = None
+    if q.d != 2 and q.d_is_prime:
+        check = legendre(q.p, q.d)
+        if (check == 1) != (parity == "even"):  # pragma: no cover
+            raise ArithmeticError(f"parity/residue mismatch for {q}")
+    return FactorCountReport(q.d, q.p, count, order, parity, check)
+
+
+@dataclass(frozen=True)
+class SelfReciprocalReport:
+    """Evidence for/against a self-reciprocal irreducible factor.
+
+    exists is decided by whether -1 lies in the powers of p mod d,
+    witnessed by w = ord/2 with p^w = -1 when it does (proved for every
+    d >= 3 in `has_self_reciprocal_factor`).  The companion route
+    checks p^u mod d for u the odd part of phi(d).  For prime d the two
+    agree (and this is asserted); for composite d the unit group need
+    not be cyclic and the odd-part route is only recorded.
+    """
+
+    d: int
+    p: int
+    exists: bool
+    order: int
+    w: Optional[int]
+    u_odd_part: int
+    power_at_u: int
+    odd_part_route: bool
+    routes_agree: Optional[bool]
+
+
+@functools.lru_cache(maxsize=512)  # bounded memo, as above
+def has_self_reciprocal_factor(q: CyclotomicQuery) -> SelfReciprocalReport:
+    """Does the reduced cyclotomic have a self-reciprocal irreducible factor?
+
+    Yes iff -1 is a power of p mod d, for every d >= 3 with p not
+    dividing d.  Proof: Phi_d is separable mod p and its roots in an
+    extension of F_p are the primitive d-th roots of unity z^x, x in
+    (Z/d)^*.  Frobenius maps z^x to z^(px), so the irreducible factors
+    correspond to the cosets x<p> of <p> in (Z/d)^*, each of degree
+    ord_d(p) (whence the count phi(d)/ord_d(p)).  Reversal sends a
+    factor's roots to their inverses, that is the coset x<p> to
+    -x<p>.  A factor is self-reciprocal iff -x<p> = x<p>, iff -1 lies
+    in <p>; this does not depend on x, so one factor is
+    self-reciprocal iff all are.  Since d >= 3, -1 != 1 mod d and
+    -1 lies in <p> iff ord_d(p) = 2w is even with p^w = -1 mod d (the
+    unique element of order 2 in a cyclic group).
+
+    >>> has_self_reciprocal_factor(CyclotomicQuery(3, 2)).exists
+    True
+    >>> has_self_reciprocal_factor(CyclotomicQuery(7, 2)).exists
+    False
+    >>> r = has_self_reciprocal_factor(CyclotomicQuery(9, 2))
+    >>> r.exists, r.w
+    (True, 3)
+    """
+    if q.d < 3:
+        raise ValueError("criterion needs d >= 3")
+    order = mult_order(q.p, q.d)
+    w = order // 2 if order % 2 == 0 else None
+    exists = w is not None and pow(q.p, w, q.d) == q.d - 1
+    if not exists:
+        w = None
+    u = valuation(totient(factorize(q.d)), 2).u
+    power_at_u = pow(q.p, u, q.d)
+    odd_part_route = power_at_u != 1
+    agree = exists == odd_part_route
+    if q.d_is_prime and not agree:  # pragma: no cover
+        raise ArithmeticError(f"equivalent criteria disagree for {q}")
+    return SelfReciprocalReport(
+        q.d, q.p, exists, order, w, u, power_at_u, odd_part_route, agree
+    )

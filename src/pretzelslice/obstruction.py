@@ -27,15 +27,14 @@ stated witness and compares, so verifying factors no polynomial.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import factor as _factor
 from . import numth
 from . import pretzel
 from ._version import __version__
-from .cyclotomic import (
+from .numth import (
+    DEFAULT_SEED,
     CyclotomicQuery,
     count_irreducible_factors,
     has_self_reciprocal_factor,
@@ -113,7 +112,7 @@ def check_pair(a: int, pair: WitnessPair) -> PairOutcome:
     Factor-count parity is checked before the self-reciprocal
     condition, both by closed form for every d: the count is
     phi(d)/ord_d(p), and a self-reciprocal factor exists iff -1 is a
-    power of p mod d (both proved in `has_self_reciprocal_factor`).
+    power of p mod d (both proved in `numth.has_self_reciprocal_factor`).
 
     Lemma (a): a composite d never fails unless some prime q | d fails
     for the same p.  Phi_d is self-reciprocal, so reversal permutes its
@@ -220,7 +219,7 @@ def _fox_milnor_evidence(status: pretzel.FoxMilnorStatus) -> Dict:
 def build_certificate(
     a: int,
     witness: Optional[WitnessPair],
-    seed: int = _factor.DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     all_witnesses: bool = False,
     max_a: int = pretzel.DEFAULT_MAX_A,
 ) -> Certificate:
@@ -304,7 +303,7 @@ def _certificate(
 
 def decide(
     a: int,
-    seed: int = _factor.DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     max_a: int = pretzel.DEFAULT_MAX_A,
     all_witnesses: bool = False,
 ) -> Certificate:
@@ -503,7 +502,7 @@ def scan(
     hi: int,
     modulus: Optional[int] = None,
     residues: Optional[Sequence[int]] = None,
-    seed: int = _factor.DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     jobs: int = 1,
     max_a: int = pretzel.DEFAULT_MAX_A,
 ) -> ScanReport:
@@ -536,6 +535,9 @@ def scan(
     if jobs == 1:
         rows = tuple(_scan_one(args) for args in work)
     else:
+        # imported here: a one-process scan never pays for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = tuple(pool.map(_scan_one, work, chunksize=8))
     counts: Dict[str, int] = {}
@@ -602,7 +604,7 @@ def legacy_oracle_fields(ev: Dict) -> Dict:
     `ev` is the pair's evidence as `build_certificate` writes it.  The
     keys held what the factorization oracles returned, and each has a
     closed form.  `oracle_count` is the count phi(d)/ord_d(p) (proved
-    in `cyclotomic.has_self_reciprocal_factor`).  The `oracle_sr_*`
+    in `numth.has_self_reciprocal_factor`).  The `oracle_sr_*`
     keys, stated with `sr_exists`, record the first hit of
     `factor.self_reciprocal_search` on Phi_d mod p: the least m >= 1
     with g = gcd(p^m + 1, d) > 2 and gcd(Phi_d, t^g - 1) of positive

@@ -260,6 +260,18 @@ class ModPoly:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of(cls, p: int, cs: Iterable[int]) -> "ModPoly":
+        """A ModPoly from coefficients already in [0, p), with no trailing
+        zero, over a modulus a ModPoly already holds: no re-validation.
+
+        Only for kernel results whose contract guarantees this.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "coeffs", tuple(cs))
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("ModPoly is immutable")
 
@@ -315,7 +327,8 @@ class ModPoly:
         self._match(other)
         if not self.coeffs or not other.coeffs:
             return ModPoly(self.p)
-        return ModPoly(self.p, _k.mul_mod(self.coeffs, other.coeffs, self.p))
+        # the leading coefficient is a product of units mod p, so nonzero
+        return ModPoly._of(self.p, _k.mul_mod(self.coeffs, other.coeffs, self.p))
 
     def scale(self, c: int) -> "ModPoly":
         c %= self.p
@@ -346,12 +359,12 @@ class ModPoly:
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q, r = _k.divrem_mod(self.coeffs, den.coeffs, self.p)
-        return ModPoly(self.p, q), ModPoly(self.p, r)
+        return ModPoly._of(self.p, q), ModPoly._of(self.p, r)
 
     def gcd(self, other: "ModPoly") -> "ModPoly":
         """Monic greatest common divisor."""
         self._match(other)
-        return ModPoly(self.p, _k.gcd_mod(self.coeffs, other.coeffs, self.p))
+        return ModPoly._of(self.p, _k.gcd_mod(self.coeffs, other.coeffs, self.p))
 
     def monic(self) -> "ModPoly":
         if not self.coeffs or self.coeffs[-1] == 1:

@@ -16,18 +16,25 @@ squarefree product of its pairwise coprime parts C_d(-t).  So it
 admits a Fox-Milnor factorization iff no part has a self-reciprocal
 irreducible factor, and `fox_milnor_status` decides each part by
 closed form, without building the reduction.
+
+The knot parameters and `fox_milnor_status` belong to the arithmetic
+core and import only `numth` at module level.  The polynomial
+functions import `poly` when called, and `fox_milnor_status` reaches
+the factorization oracle only to exhibit an offending factor, which
+never happens once every witness pair passes.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from . import factor as _factor
 from . import numth
-from .cyclotomic import CyclotomicQuery, has_self_reciprocal_factor, reduced
-from .poly import IntPoly, ModPoly, reduce_mod
+from .numth import DEFAULT_SEED, CyclotomicQuery, has_self_reciprocal_factor
+
+if TYPE_CHECKING:
+    from .poly import IntPoly, ModPoly
 
 DEFAULT_MAX_A = 200_000
 
@@ -66,23 +73,20 @@ def _divisors_over_one(n: int) -> Tuple[int, ...]:
     return numth.divisors(numth.factorize(n))[1:]
 
 
-def _binomial_plus(n: int) -> IntPoly:
-    # t^n + 1
-    return IntPoly([1] + [0] * (n - 1) + [1])
-
-
-def _correction_term(a: int) -> IntPoly:
-    # ((a+1)^2 / 4) * t^(a-1) * (t-1)^2
-    c = ((a + 1) // 2) ** 2
-    return IntPoly([c, -2 * c, c]).shift(a - 1)
-
-
 @functools.lru_cache(maxsize=32)
 def _alexander_cached(a: int) -> IntPoly:
-    quotient = (_binomial_plus(a + 2) * _binomial_plus(a)).exact_div(
+    from .poly import IntPoly
+
+    def binomial_plus(n: int) -> IntPoly:
+        # t^n + 1
+        return IntPoly([1] + [0] * (n - 1) + [1])
+
+    quotient = (binomial_plus(a + 2) * binomial_plus(a)).exact_div(
         IntPoly((1, 2, 1))
     )
-    delta = quotient - _correction_term(a)
+    # correction term ((a+1)^2 / 4) * t^(a-1) * (t-1)^2
+    c = ((a + 1) // 2) ** 2
+    delta = quotient - IntPoly([c, -2 * c, c]).shift(a - 1)
     if delta.degree != 2 * a:  # pragma: no cover
         raise ArithmeticError(f"degree {delta.degree} != 2a at a = {a}")
     if not delta.is_self_reciprocal():  # pragma: no cover
@@ -125,7 +129,7 @@ def alexander_mod_p(a: int, p: int, max_a: int = DEFAULT_MAX_A) -> ModPoly:
     '1 + t^2 + t^3 + t^4 + t^6'
     """
     _validate_reduction(a, p, max_a)
-    return reduce_mod(_alexander_cached(a), p)
+    return _alexander_cached(a).reduce_mod(p)
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ class FoxMilnorStatus:
 def fox_milnor_status(
     a: int,
     p: int,
-    seed: int = _factor.DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     max_a: int = DEFAULT_MAX_A,
 ) -> FoxMilnorStatus:
     """Does the mod-p Alexander reduction admit a Fox-Milnor factorization?
@@ -210,7 +214,11 @@ def fox_milnor_status(
             exists = has_self_reciprocal_factor(q).exists
             parts.append(PartCheck(d, source, exists))
             if exists:
-                shown = _factor.self_reciprocal_search(reduced(q), d, seed)
+                # the oracle layer, reached only to exhibit the factor
+                from .cyclotomic import reduced
+                from .factor import self_reciprocal_search
+
+                shown = self_reciprocal_search(reduced(q), d, seed)
                 if not shown.exists:  # pragma: no cover
                     raise ArithmeticError(f"closed form and search disagree at d = {d}, p = {p}")
                 if shown.factor is not None:

@@ -8,17 +8,39 @@ import sympy
 from pretzelslice import numth
 from pretzelslice.cyclotomic import (
     CyclotomicQuery,
-    _cyclotomic_by_division,
     count_irreducible_factors,
     cyclotomic_poly,
     factor_count_oracle,
     factor_cyclotomic_oracle,
     has_self_reciprocal_factor,
-    parity_via_legendre,
     reduced,
     self_reciprocal_factor_oracle,
 )
 from pretzelslice.poly import IntPoly
+
+
+# -- reference routes the fast code must agree with
+
+
+def _cyclotomic_by_division(d: int) -> IntPoly:
+    """Phi_d by the textbook recursion (t^d - 1) / prod_{e | d, e < d} Phi_e."""
+    num = IntPoly([-1] + [0] * (d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            num = num.exact_div(_cyclotomic_by_division(e))
+    return num
+
+
+def parity_via_legendre(p: int, d: int) -> str:
+    """Parity of the factor count straight from the Legendre symbol.
+
+    Only meaningful for odd prime d distinct from the prime p.
+    """
+    if not numth.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p == d:
+        raise ValueError("p and d must be distinct")
+    return "even" if numth.legendre(p, d) == 1 else "odd"
 
 
 def test_small_cyclotomics():
@@ -104,6 +126,8 @@ def test_count_times_degree_is_totient():
 
 
 def test_parity_via_legendre_matches_count_for_prime_d():
+    assert (parity_via_legendre(2, 7), parity_via_legendre(2, 3),
+            parity_via_legendre(3, 5)) == ("even", "odd", "odd")
     for d in (3, 5, 7, 11, 13, 17, 19, 23, 29, 97):
         for p in (2, 3, 5, 7, 11, 13):
             if p == d:

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from pretzelslice import numth, poly
+from pretzelslice.cyclotomic import CyclotomicQuery, reduced
 from pretzelslice.factor import (
     CounterRng,
     FactorMultiset,
@@ -336,3 +338,38 @@ def test_multiset_equality_is_order_insensitive():
     ms = factor(f)
     rebuilt = FactorMultiset(ms.p, ms.scalar, tuple(ms.factors))
     assert rebuilt == ms
+
+
+def test_kernel_results_wrapped_unvalidated_are_reduced_and_trimmed(monkeypatch):
+    """`ModPoly._of` skips validation; every result it wraps must already be valid.
+
+    Runs the cyclotomic oracle on every 8th (d, p) of the acceptance grid
+    (d an odd prime <= 500, p a prime <= 100) plus the generic factorizer,
+    with `_of` checking its own contract on each call.
+    """
+    orig = ModPoly._of
+    calls = []
+
+    def checked(cls, p, cs):
+        cs = list(cs)
+        assert p in poly._checked_moduli, p
+        assert all(0 <= c < p for c in cs), (p, cs)
+        assert not cs or cs[-1] != 0, (p, cs)
+        calls.append(len(cs))
+        return orig(p, cs)
+
+    monkeypatch.setattr(ModPoly, "_of", classmethod(checked))
+    grid = [(d, p) for d in range(3, 501, 2) if numth.is_prime(d)
+            for p in range(2, 101) if numth.is_prime(p) and p != d]
+    for d, p in grid[::8]:
+        f = reduced(CyclotomicQuery(d, p))
+        ms = factor_cyclic(f, d, seed=1)
+        assert ms.product() == f, (d, p)
+        assert self_reciprocal_search(f, d, seed=1, exhibit_cap=64).exists == any(
+            g.is_self_reciprocal() for g, _ in ms), (d, p)
+    for p in (2, 3, 5, 13):
+        rng = CounterRng("unvalidated-constructor", p)
+        for _ in range(100):
+            f = ModPoly(p, rng.coeffs(1 + rng.randbelow(20), p) + [1])
+            assert factor(f).product() == f, (p, f)
+    assert len(calls) > 10_000
