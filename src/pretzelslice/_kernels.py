@@ -11,7 +11,8 @@ Which path a call takes depends on the operand lengths:
 * multiplication: plain Python schoolbook while both operands have at
   most `_TINY` coefficients, `np.convolve` while the shorter one has at
   most `_KRONECKER_CUTOFF`, Kronecker packing beyond (and whenever the
-  int64 bound fails);
+  int64 bound fails); the product in the cyclic ring F_p[t]/(t^n - 1)
+  takes the same paths and folds before it reduces;
 * division: a plain Python loop for divisors of degree below
   `_DIV_SHORT` or when the int64 bound fails, an int64 loop in place
   otherwise;
@@ -128,6 +129,42 @@ def mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
         out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return (out % p).tolist()
     return _mul_kronecker_mod(a, b, p)
+
+
+def mul_cyclic_mod(a: Sequence[int], b: Sequence[int], n: int, p: int) -> List[int]:
+    """a * b mod (t^n - 1, p) for 1 <= len(a), len(b) <= n: n coefficients, not trimmed.
+
+    Coefficient k of the cyclic product is the sum of a_i b_j over
+    i + j = k (mod n).  For each i at most one j < len(b) <= n is in that
+    class, and symmetrically, so every coefficient is a sum of at most
+    min(la, lb) products of size (p-1)^2: the bound of `mul_mod`.  Each
+    path therefore folds the wrap-around exactly before its one
+    reduction mod p.  The Kronecker path folds the packed product itself:
+    with w-byte digits, t^n - 1 becomes 2^(8wn) - 1, so the high half
+    is added onto the low half, and the digits of the sum are the
+    cyclic coefficients, each still below 256^w.
+    """
+    la, lb = len(a), len(b)
+    if not (0 < la <= n and 0 < lb <= n):
+        raise ValueError(f"operand lengths {la}, {lb} outside 1..{n}")
+    if la <= _TINY and lb <= _TINY:
+        out = [0] * n
+        for k, c in enumerate(_mul_school(a, b)):
+            out[k % n] += c
+        return [c % p for c in out]
+    short = min(la, lb)
+    if short <= _KRONECKER_CUTOFF and short * (p - 1) * (p - 1) < _I64_SAFE:
+        raw = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        wrap = len(raw) - n
+        if wrap > 0:
+            raw[:wrap] += raw[n:]
+            raw = raw[:n]
+        out = (raw % p).tolist()
+        return out + [0] * (n - len(out))
+    width = _width(short * (p - 1) * (p - 1))
+    x = _pack(a, width) * _pack(b, width)
+    shift = 8 * width * n
+    return _unpack((x & ((1 << shift) - 1)) + (x >> shift), width, n, p)
 
 
 def _split_sign(cs: Sequence[int]):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -257,7 +258,14 @@ def _parse_certificates(text: str) -> List[dict]:
     return certs
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    `parse_args` keeps no state between calls: each returns a fresh
+    namespace filled from the defaults, so one parser serves every
+    `main` call.
+    """
     parser = argparse.ArgumentParser(
         prog="pretzelslice",
         description="Non-sliceness obstruction certificates for the "

@@ -12,9 +12,9 @@ Divisors of t^n - 1 admit much faster arithmetic: the Frobenius x -> x^p
 acts on F_p[t]/(t^n - 1) as a coefficient permutation, and Frobenius
 gcds collapse to gcds with t^g - 1 for divisors g of n.  The
 ``*_cyclic`` entry points exploit this; they validate the divisor claim
-on entry and verify their output (reconstruction, equal degrees,
-irreducibility), so they are safe to use as an independent oracle for
-the closed-form counting rules.
+on entry and verify their output (equal degrees, reconstruction, and
+Rabin's irreducibility test once per degree class), so they are safe to
+use as an independent oracle for the closed-form counting rules.
 """
 
 from __future__ import annotations
@@ -430,14 +430,6 @@ def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
 # -- ring F_p[t]/(t^n - 1): fold products, permute for Frobenius
 
 
-def _ring_mul(a: List[int], b: List[int], n: int, p: int) -> List[int]:
-    raw = _k.mul_mod(a, b, p)
-    wrap = len(raw) - n
-    if wrap > 0:
-        return [(u + v) % p for u, v in zip(raw, raw[n:])] + raw[wrap:n]
-    return raw + [0] * -wrap
-
-
 def _ring_frobenius(a: List[int], pw: int, n: int) -> List[int]:
     # x -> x^(p^w) permutes coefficients: index i moves to i*p^w mod n
     out = [0] * n
@@ -452,10 +444,10 @@ def _ring_norm(x: List[int], k: int, n: int, p: int) -> List[int]:
     acc = x
     have = 1
     for bit in bin(k)[3:]:
-        acc = _ring_mul(acc, _ring_frobenius(acc, pow(p, have, n), n), n, p)
+        acc = _k.mul_cyclic_mod(acc, _ring_frobenius(acc, pow(p, have, n), n), n, p)
         have *= 2
         if bit == "1":
-            acc = _ring_mul(_ring_frobenius(acc, p % n, n), x, n, p)
+            acc = _k.mul_cyclic_mod(_ring_frobenius(acc, p % n, n), x, n, p)
             have += 1
     return acc
 
@@ -478,8 +470,8 @@ def _ring_pow(x: List[int], e: int, n: int, p: int) -> List[int]:
     cur = x
     while e:
         if e & 1:
-            out = _ring_mul(out, cur, n, p)
-        cur = _ring_mul(cur, cur, n, p)
+            out = _k.mul_cyclic_mod(out, cur, n, p)
+        cur = _k.mul_cyclic_mod(cur, cur, n, p)
         e >>= 1
     return out
 
@@ -550,36 +542,60 @@ def _edf_cyclic(
 
 def _monomial_mod(e: int, g: ModPoly) -> ModPoly:
     """t^e mod g."""
-    if e <= g.degree:
+    if e < g.degree:
         return ModPoly(g.p, (0,) * e + (1,))
     return ModPoly(g.p, (0,) * e + (1,)).divrem(g)[1]
+
+
+def _rabin_cyclic(P: ModPoly, k: int, n: int) -> bool:
+    """Whether every root of monic P | t^n - 1 has degree exactly k over F_p.
+
+    This is Rabin's test (Rabin 1980; von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, 14.9) applied to a product of degree-k candidates
+    instead of to each one:
+
+        t^(p^k) = t (mod P), and gcd(P, t^(p^(k/q)) - t) = 1 for every
+        prime q | k.
+
+    Because P | t^n - 1, t^n = 1 modulo P, so t^(p^j) = t^(p^j mod n)
+    (mod P) and each Frobenius power is a monomial of degree below n.
+    The first condition says P | t^(p^k) - t, the product of all monic
+    irreducibles of degree dividing k, so every root of P lies in
+    F_(p^k).  A root of degree e < k has e | k/q for some prime q | k,
+    so it lies in F_(p^(k/q)) and is a common root of P and
+    t^(p^(k/q)) - t; the second condition rules that out.  Hence every
+    root has degree exactly k, and every irreducible factor of P has
+    degree k: a monic degree-k divisor of P cannot split, so it is
+    irreducible.  The test uses no coset structure of the roots.
+    """
+    if k < 1 or P.degree < 1:
+        return False
+    p = P.p
+    t = ModPoly(p, (0, 1)).divrem(P)[1]
+    if _monomial_mod(pow(p, k, n), P) != t:
+        return False
+    for q in {q for q, _ in numth.factorize(k)}:
+        if P.gcd(_monomial_mod(pow(p, k // q, n), P) - t).degree != 0:
+            return False
+    return True
 
 
 def is_irreducible_cyclic(g: ModPoly, n: int, k: Optional[int] = None) -> bool:
     """Rabin's test for g | t^n - 1, with Frobenius powers as monomials."""
     if k is None:
         k = g.degree
-    if g.degree != k or k < 1:
-        return False
-    p = g.p
-    if k <= 8:
-        return is_irreducible(g)
-    t = ModPoly(p, (0, 1))
-    if _monomial_mod(pow(p, k, n), g) != t.divrem(g)[1]:
-        return False
-    for q in {q for q, _ in numth.factorize(k)}:
-        h = _monomial_mod(pow(p, k // q, n), g) - t
-        if g.gcd(h).degree != 0:
-            return False
-    return True
+    return g.degree == k and _rabin_cyclic(g, k, n)
 
 
 def factor_cyclic(f: ModPoly, n: int, seed: int = DEFAULT_SEED) -> FactorMultiset:
     """Complete factorization of a divisor of t^n - 1 (all multiplicities 1).
 
     Validates the divisor claim, splits, then verifies the output:
-    every factor passes an irreducibility test and the product
-    reconstructs the input exactly.
+    every piece has the degree k of its class, the pieces reconstruct
+    the input exactly, and the product of each degree class passes
+    Rabin's test once (`_rabin_cyclic`).  Reconstruction comes first,
+    because it is what makes each class product divide t^n - 1, as the
+    test requires; the test then makes every degree-k piece irreducible.
     """
     _validate_cyclic(f, n)
     scalar = f.coeffs[-1]
@@ -588,13 +604,19 @@ def factor_cyclic(f: ModPoly, n: int, seed: int = DEFAULT_SEED) -> FactorMultise
         return FactorMultiset(f.p, scalar, ())
     classes = distinct_degree_cyclic(g, n)
     split = _edf_cyclic(classes, n, f.p, seed)
+    products: Dict[int, ModPoly] = {}
     for h, k in split:
-        if h.degree != k or not is_irreducible_cyclic(h, n, k):
-            raise ArithmeticError("cyclic split produced a reducible piece")  # pragma: no cover
-    out = _make_multiset(f.p, scalar, ((h, 1) for h, _ in split))
-    if out.product() != f:
-        raise ArithmeticError("cyclic factorization failed to reconstruct")  # pragma: no cover
-    return out
+        if h.degree != k:
+            raise ArithmeticError("cyclic split produced a piece of the wrong degree")
+        products[k] = products[k] * h if k in products else h
+    rebuilt = ModPoly(f.p, (1,))
+    for P in products.values():
+        rebuilt = rebuilt * P
+    if rebuilt != g:
+        raise ArithmeticError("cyclic factorization failed to reconstruct")
+    if not all(_rabin_cyclic(P, k, n) for k, P in products.items()):
+        raise ArithmeticError("cyclic split produced a reducible piece")
+    return _make_multiset(f.p, scalar, ((h, 1) for h, _ in split))
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,25 @@ def test_flag_overrides_config(tmp_path, capsys, monkeypatch):
     assert json.loads(out_file.read_text())["seed"] == "9"
 
 
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    parser = cli.build_parser()
+    before = cli.build_parser.cache_info()
+
+    def cert(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        return json.loads(out[out.index("{"):])
+
+    assert "all_failures" in cert("check", "15", "--all-witnesses")["evidence"]
+    assert "all_failures" not in cert("check", "15")["evidence"]
+    assert cert("--seed", "5", "check", "3")["seed"] == "5"
+    assert cert("check", "3")["seed"] == str(obstruction.DEFAULT_SEED)
+    after = cli.build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 4)
+    assert cli.build_parser() is parser
+
+
 def test_bad_config_file(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

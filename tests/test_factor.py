@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import pretzelslice.factor as factor_mod
 from pretzelslice import numth, poly
 from pretzelslice.cyclotomic import CyclotomicQuery, reduced
 from pretzelslice.factor import (
@@ -306,6 +307,112 @@ def test_is_irreducible_cyclic_agreement():
         if len(fs) >= 2:
             a, b = rng.sample(fs, 2)
             assert not is_irreducible_cyclic(a * b, n)
+
+
+def _tn1(p, n):
+    return ModPoly(p, [p - 1] + [0] * (n - 1) + [1])
+
+
+def _prod(polys):
+    out = ModPoly(polys[0].p, (1,))
+    for g in polys:
+        out = out * g
+    return out
+
+
+def test_class_rabin_agrees_with_generic_test_on_single_divisors():
+    rng = random.Random(53)
+    for p, n in CYCLIC_CASES:
+        fs = [g for g, _ in factor(_tn1(p, n))]
+        picks = fs + [_prod(rng.sample(fs, rng.randint(2, len(fs))))
+                      for _ in range(4) if len(fs) >= 2]
+        for g in picks:
+            got = factor_mod._rabin_cyclic(g, g.degree, n)
+            assert got == is_irreducible(g) == is_irreducible_cyclic(g, n), (p, n, g)
+
+
+def test_class_rabin_accepts_every_class_product():
+    cases = [(_tn1(p, n), n) for p, n in CYCLIC_CASES + [(3, 728)]]
+    grid = [(d, p) for d in range(3, 501, 2) if numth.is_prime(d)
+            for p in range(2, 101) if numth.is_prime(p) and p != d]
+    cases += [(reduced(CyclotomicQuery(d, p)), d) for d, p in grid[::97]]
+    for f, n in cases:
+        for piece, k in distinct_degree_cyclic(f, n):
+            assert factor_mod._rabin_cyclic(piece, k, n), (f.p, n, k)
+        by_degree = {}
+        for g, _ in factor_cyclic(f, n):
+            by_degree.setdefault(g.degree, []).append(g)
+        for k, gs in by_degree.items():
+            assert factor_mod._rabin_cyclic(_prod(gs), k, n), (f.p, n, k)
+
+
+def _irreducibles(p, n, k):
+    """The monic irreducible factors of degree k of t^n - 1 over F_p."""
+    return [g for g, _ in factor(_tn1(p, n)) if g.degree == k]
+
+
+def test_class_rabin_rejects_products_with_roots_of_lower_degree():
+    # over F_3, t^728 - 1 (728 = 8 * 7 * 13) has irreducible factors of
+    # degrees 1, 2, 3 and 6: three quadratics (from t^8 - 1), four
+    # cubics (t^13 - 1) and sextics (Phi_7)
+    p, n = 3, 728
+    quad, cub, sext = _irreducibles(p, 8, 2), _irreducibles(p, 13, 3), _irreducibles(p, 7, 6)
+    assert (len(quad), len(cub), len(sext)) == (3, 4, 1)
+    linear = ModPoly(p, (p - 1, 1))
+    # q irreducibles of degree 6/q, labelled as the class k = 6: only the
+    # gcd for that q sees them
+    assert not factor_mod._rabin_cyclic(_prod(quad), 6, n)
+    assert not factor_mod._rabin_cyclic(_prod(cub[:2]), 6, n)
+    # a class product times one factor of another degree
+    p6 = _prod(sext)
+    for other in (quad[0], cub[0], linear):
+        assert factor_mod._rabin_cyclic(p6, 6, n)
+        assert not factor_mod._rabin_cyclic(p6 * other, 6, n), other
+    # degree 3 does not divide 2: the first condition fails
+    assert not factor_mod._rabin_cyclic(_prod(quad) * cub[0], 2, n)
+    assert not factor_mod._rabin_cyclic(p6, 3, n)
+    # over F_2, two cubics labelled 6 (q = 2) and a cubic times a
+    # sextic labelled 6
+    cub2 = _irreducibles(2, 7, 3)
+    assert not factor_mod._rabin_cyclic(_prod(cub2), 6, 63)
+    assert not factor_mod._rabin_cyclic(_prod(_irreducibles(2, 9, 6)) * cub2[0], 6, 63)
+
+
+def _fake_split(p, n, change):
+    """An `_edf_cyclic` stand-in that returns the true factors of t^n - 1, altered."""
+    def fake(pieces, n_, p_, seed, limit=None):
+        assert (n_, p_) == (n, p)
+        return change([(g, g.degree) for g, _ in factor(_tn1(p, n))])
+    return fake
+
+
+def _merge(degree, count, label):
+    """Replace `count` factors of `degree` by their product, labelled `label`."""
+    def change(split):
+        merged = [g for g, k in split if k == degree][:count]
+        rest = [(g, k) for g, k in split if g not in merged]
+        return rest + [(_prod(merged), label)]
+    return change
+
+
+@pytest.mark.parametrize("p, n, change, message", [
+    # a reducible piece of the class's degree: two cubics as a sextic
+    (2, 7, _merge(3, 2, 6), "reducible"),
+    # three quadratics as a sextic, caught only by the gcd for q = 3
+    (3, 56, _merge(2, 3, 6), "reducible"),
+    # a piece of the wrong degree for its class
+    (2, 7, _merge(3, 2, 3), "wrong degree"),
+    # a factor dropped: every piece is irreducible, the product is short
+    (2, 7, lambda split: split[1:], "reconstruct"),
+    # a factor repeated
+    (3, 56, lambda split: split + split[-1:], "reconstruct"),
+])
+def test_factor_cyclic_rejects_a_bad_split(p, n, change, message, monkeypatch):
+    f = _tn1(p, n)
+    assert factor_cyclic(f, n) == factor(f)
+    monkeypatch.setattr(factor_mod, "_edf_cyclic", _fake_split(p, n, change))
+    with pytest.raises(ArithmeticError, match=message):
+        factor_cyclic(f, n)
 
 
 def test_self_reciprocal_search_matches_factoring_truth():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from pretzelslice import _kernels as _k
-from pretzelslice import factor as _factor
 
 M61 = (1 << 61) - 1
 P31 = (1 << 31) - 1  # the largest prime below 2^31
@@ -348,10 +347,128 @@ def test_ring_mul_is_the_product_reduced_mod_t_n_minus_1(n, p):
     rng = random.Random(n * 101 + p)
     a = [rng.randrange(p) for _ in range(n)]
     b = [rng.randrange(p) for _ in range(n)]
-    got = _factor._ring_mul(a, b, n, p)
+    got = _k.mul_cyclic_mod(a, b, n, p)
     assert len(got) == n
     assert got == ref_cyclic(a, b, n, p)
     # also against mul_mod followed by the reduction
     raw = _k.mul_mod(a, b, p)
     want = [sum(raw[k::n]) % p for k in range(n)]
     assert got == want
+
+
+def folded_mul_mod(a, b, n, p):
+    """`mul_mod` followed by an explicit fold of the wrap-around."""
+    raw = _k.mul_mod(a, b, p)
+    return [sum(raw[k::n]) % p for k in range(n)]
+
+
+# a prime whose int64 bound falls between the schoolbook and Kronecker
+# cutoffs: 115 * (P_MID - 1)^2 < 2^62 <= 116 * (P_MID - 1)^2
+P_MID = 200_000_033
+LAST_I64 = 115
+
+
+def test_int64_bound_prime_is_where_the_tests_assume():
+    assert LAST_I64 * (P_MID - 1) ** 2 < _k._I64_SAFE <= (LAST_I64 + 1) * (P_MID - 1) ** 2
+    assert _k._TINY < LAST_I64 < _k._KRONECKER_CUTOFF
+
+
+@pytest.mark.parametrize("p", [2, 97, 65521])
+@pytest.mark.parametrize("la, lb, n", [
+    (_k._TINY, _k._TINY, _k._TINY),
+    (_k._TINY, _k._TINY, _k._TINY + 3),
+    (_k._TINY + 1, _k._TINY, _k._TINY + 1),
+    (_k._TINY + 1, _k._TINY + 1, 2 * _k._TINY),
+    (_k._KRONECKER_CUTOFF, _k._KRONECKER_CUTOFF, _k._KRONECKER_CUTOFF),
+    (_k._KRONECKER_CUTOFF, 300, 300),
+    (_k._KRONECKER_CUTOFF + 1, _k._KRONECKER_CUTOFF + 1, _k._KRONECKER_CUTOFF + 1),
+    (_k._KRONECKER_CUTOFF + 1, 300, 400),
+])
+def test_mul_cyclic_mod_at_the_path_cutoffs(p, la, lb, n, monkeypatch):
+    school = spy(monkeypatch, "_mul_school")
+    packed = spy(monkeypatch, "_pack")
+    rng = random.Random(la * 1000 + lb * 10 + n + p)
+    a, b = vec(rng, la, p), vec(rng, lb, p)
+    for x, y in ((a, b), (b, a), ([p - 1] * la, [p - 1] * lb)):
+        del school[:], packed[:]
+        got = _k.mul_cyclic_mod(x, y, n, p)
+        assert len(school) == (la <= _k._TINY and lb <= _k._TINY)
+        assert len(packed) == 2 * (min(la, lb) > _k._KRONECKER_CUTOFF)
+        assert got == folded_mul_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
+
+
+@pytest.mark.parametrize("short", [LAST_I64, LAST_I64 + 1])
+def test_mul_cyclic_mod_at_the_int64_bound(short, monkeypatch):
+    packed = spy(monkeypatch, "_pack")
+    rng = random.Random(short)
+    p = P_MID
+    for la, lb, n in ((short, short, short), (short, 200, 200), (200, short, 250)):
+        # all coefficients p - 1 and la = lb = n: every folded coefficient
+        # is exactly short * (p - 1)^2, the bound itself
+        for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
+            before = len(packed)
+            got = _k.mul_cyclic_mod(x, y, n, p)
+            assert len(packed) - before == 2 * (short > LAST_I64)
+            assert got == ref_cyclic(x, y, n, p)
+            assert got == folded_mul_mod(x, y, n, p)
+
+
+def _cyclic_width_cases():
+    """(p, n) per packed width 1..9 with operands past the schoolbook cutoff."""
+    cases = {}
+    for n in (_k._TINY + 1, 8, 64, 300):
+        for p in PRIMES:
+            cases.setdefault(_k._width(n * (p - 1) ** 2), (p, n))
+    return cases
+
+
+def test_cyclic_width_cases_cover_one_through_nine_bytes():
+    assert set(range(1, 10)) <= set(_cyclic_width_cases())
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_mul_cyclic_mod_at_each_packed_width(width, monkeypatch):
+    monkeypatch.setattr(_k, "_KRONECKER_CUTOFF", 0)
+    packed = spy(monkeypatch, "_pack")
+    p, n = _cyclic_width_cases()[width]
+    rng = random.Random(width)
+    for la, lb in ((n, n), (n, n - 1), (n - 2, n), (n // 2 + 1, n // 2 + 1)):
+        for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
+            del packed[:]
+            assert _k.mul_cyclic_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
+            tiny = la <= _k._TINY and lb <= _k._TINY
+            assert [w for _, w in packed] == [_k._width(min(la, lb) * (p - 1) ** 2)] * 2 * (not tiny)
+            if la == lb == n:
+                assert packed[0][1] == width
+
+
+@pytest.mark.parametrize("n", [1, 3, _k._TINY + 1, 40, _k._KRONECKER_CUTOFF + 1])
+def test_mul_cyclic_mod_with_the_mersenne_prime(n):
+    rng = random.Random(n)
+    p = M61
+    for la, lb in ((n, n), (1, n), (max(1, n // 2), max(1, n - 1))):
+        for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
+            got = _k.mul_cyclic_mod(x, y, n, p)
+            assert got == folded_mul_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
+
+
+@pytest.mark.parametrize("p", [2, 97, P31])
+def test_mul_cyclic_mod_with_operands_shorter_than_n(p):
+    rng = random.Random(p)
+    for n in (7, 64, 300, 499):
+        # la + lb - 1 below n (no wrap), exactly n, and past it
+        for la, lb in ((1, 1), (n // 3, n // 3), (n // 2, n - n // 2 + 1),
+                       (n - 1, 2), (n - 1, n - 1), (n, n // 4 + 1)):
+            a, b = vec(rng, la, p), [0] * (lb - 1) + [1]
+            c = vec(rng, lb, p)
+            for x, y in ((a, b), (a, c), (c, a)):
+                got = _k.mul_cyclic_mod(x, y, n, p)
+                assert len(got) == n
+                assert got == folded_mul_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
+
+
+def test_mul_cyclic_mod_rejects_operands_outside_the_ring():
+    with pytest.raises(ValueError):
+        _k.mul_cyclic_mod([1, 2, 3], [1], 2, 5)
+    with pytest.raises(ValueError):
+        _k.mul_cyclic_mod([], [1], 2, 5)
