@@ -322,7 +322,8 @@ def _prod(polys):
 
 def test_class_rabin_agrees_with_generic_test_on_single_divisors():
     rng = random.Random(53)
-    for p, n in CYCLIC_CASES:
+    # p = 1 mod n: t^(p mod n) is t itself, of the degree of a linear piece
+    for p, n in CYCLIC_CASES + [(13, 12), (7, 3)]:
         fs = [g for g, _ in factor(_tn1(p, n))]
         picks = fs + [_prod(rng.sample(fs, rng.randint(2, len(fs))))
                       for _ in range(4) if len(fs) >= 2]

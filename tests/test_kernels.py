@@ -132,10 +132,14 @@ def test_mul_mod_packs_past_the_int64_bound_at_any_length(monkeypatch):
     assert len(packed) == 5
 
 
-def _width_cases():
+# operand lengths past the schoolbook cutoff, for the cyclic product
+CYCLIC_WIDTH_LENGTHS = (_k._TINY + 1, 8, 64, 300)
+
+
+def _width_cases(lengths=(1, 2, 8, 64, 300)):
     """(p, length) per packed width: the first hit for each width 1..9."""
     cases = {}
-    for length in (1, 2, 8, 64, 300):
+    for length in lengths:
         for p in PRIMES:
             w = _k._width(length * (p - 1) ** 2)
             cases.setdefault(w, (p, length))
@@ -144,6 +148,7 @@ def _width_cases():
 
 def test_width_cases_cover_one_through_nine_bytes():
     assert set(range(1, 10)) <= set(_width_cases())
+    assert set(range(1, 10)) <= set(_width_cases(CYCLIC_WIDTH_LENGTHS))
 
 
 @pytest.mark.parametrize("width", range(1, 10))
@@ -413,24 +418,11 @@ def test_mul_cyclic_mod_at_the_int64_bound(short, monkeypatch):
             assert got == folded_mul_mod(x, y, n, p)
 
 
-def _cyclic_width_cases():
-    """(p, n) per packed width 1..9 with operands past the schoolbook cutoff."""
-    cases = {}
-    for n in (_k._TINY + 1, 8, 64, 300):
-        for p in PRIMES:
-            cases.setdefault(_k._width(n * (p - 1) ** 2), (p, n))
-    return cases
-
-
-def test_cyclic_width_cases_cover_one_through_nine_bytes():
-    assert set(range(1, 10)) <= set(_cyclic_width_cases())
-
-
 @pytest.mark.parametrize("width", range(1, 10))
 def test_mul_cyclic_mod_at_each_packed_width(width, monkeypatch):
     monkeypatch.setattr(_k, "_KRONECKER_CUTOFF", 0)
     packed = spy(monkeypatch, "_pack")
-    p, n = _cyclic_width_cases()[width]
+    p, n = _width_cases(CYCLIC_WIDTH_LENGTHS)[width]
     rng = random.Random(width)
     for la, lb in ((n, n), (n, n - 1), (n - 2, n), (n // 2 + 1, n // 2 + 1)):
         for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
