@@ -12,10 +12,13 @@ Which path a call takes depends on the operand lengths:
   most `_TINY` coefficients, `np.convolve` while the shorter one has at
   most `_KRONECKER_CUTOFF`, Kronecker packing beyond (and whenever the
   int64 bound fails); the product in the cyclic ring F_p[t]/(t^n - 1)
-  takes the same paths and folds before it reduces;
+  takes int64 arrays to an int64 array, by the same paths, and folds
+  before it reduces;
 * division: a plain Python loop for divisors of degree below
-  `_DIV_SHORT` or when the int64 bound fails, an int64 loop in place
-  otherwise;
+  `_DIV_SHORT` or when the int64 bound fails; otherwise an int64 loop
+  in place for quotients shorter than `_NEWTON_MIN`, and for longer
+  ones a reciprocal by Newton iteration, with every product through
+  `mul_mod`;
 * gcd: Euclid on int64 arrays held across steps once both inputs
   exceed `_GCD_INPLACE` coefficients, repeated division below that.
 
@@ -47,6 +50,16 @@ _KRONECKER_CUTOFF = 256
 # the int64 one (64 quotient steps by degree 12: 63 against 96; by degree
 # 64: 339 against 118; degrees 16 to 24 come out even within the noise).
 _DIV_SHORT = 16
+# Quotients of at least this many coefficients come from a reciprocal
+# (Newton iteration) instead of the int64 loop, at any divisor degree the
+# int64 loop takes.  At p = 97 the loop still wins or ties at 32 quotient
+# steps, and the reciprocal is ahead 1.0-1.4x at 48, 1.0-1.6x at 64 and
+# 1.4-3.2x at 484, for divisor degrees 16 to 484.  At p = 2 and 3 the
+# loop skips its zero quotient coefficients and stays ahead on random
+# inputs up to about 256 and 96 steps, but on the cyclotomic oracle's
+# p = 2, 3 pairs every cutoff from 48 to 256 times the same within the
+# noise (BENCH_10.json).
+_NEWTON_MIN = 48
 # Both gcd inputs longer than this: Euclid on int64 arrays in place.
 _GCD_INPLACE = 128
 
@@ -131,40 +144,52 @@ def mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     return _mul_kronecker_mod(a, b, p)
 
 
-def mul_cyclic_mod(a: Sequence[int], b: Sequence[int], n: int, p: int) -> List[int]:
-    """a * b mod (t^n - 1, p) for 1 <= len(a), len(b) <= n: n coefficients, not trimmed.
+def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
+    """a * b mod (t^n - 1, p) as an int64 array of n coefficients, not trimmed.
 
-    Coefficient k of the cyclic product is the sum of a_i b_j over
-    i + j = k (mod n).  For each i at most one j < len(b) <= n is in that
-    class, and symmetrically, so every coefficient is a sum of at most
-    min(la, lb) products of size (p-1)^2: the bound of `mul_mod`.  Each
-    path therefore folds the wrap-around exactly before its one
-    reduction mod p.  The Kronecker path folds the packed product itself:
-    with w-byte digits, t^n - 1 becomes 2^(8wn) - 1, so the high half
-    is added onto the low half, and the digits of the sum are the
-    cyclic coefficients, each still below 256^w.
+    The operands are int64 arrays (or sequences) of 1..n coefficients in
+    [0, p), p < 2^63, so that ring elements stay arrays from one product
+    to the next.  Coefficient k of the cyclic product is the sum of
+    a_i b_j over i + j = k (mod n).  For each i at most one j < len(b) <= n
+    is in that class, and symmetrically, so every coefficient is a sum
+    of at most min(la, lb) products of size (p-1)^2: the bound of
+    `mul_mod`.  Each path therefore folds the wrap-around exactly before
+    its one reduction mod p.  The Kronecker path folds the packed
+    product itself: with w-byte digits, t^n - 1 becomes 2^(8wn) - 1, so
+    the high half is added onto the low half, and the digits of the sum
+    are the cyclic coefficients, each still below 256^w.  A square
+    (a is b) packs once, and CPython squares a big integer faster than
+    it multiplies two.
     """
+    square = a is b
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     la, lb = len(a), len(b)
     if not (0 < la <= n and 0 < lb <= n):
         raise ValueError(f"operand lengths {la}, {lb} outside 1..{n}")
     if la <= _TINY and lb <= _TINY:
-        out = [0] * n
-        for k, c in enumerate(_mul_school(a, b)):
-            out[k % n] += c
-        return [c % p for c in out]
+        folded = [0] * n
+        for k, c in enumerate(_mul_school(a.tolist(), b.tolist())):
+            folded[k % n] += c
+        return np.array([c % p for c in folded], dtype=np.int64)
     short = min(la, lb)
     if short <= _KRONECKER_CUTOFF and short * (p - 1) * (p - 1) < _I64_SAFE:
-        raw = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        raw = np.convolve(a, b)
         wrap = len(raw) - n
         if wrap > 0:
             raw[:wrap] += raw[n:]
             raw = raw[:n]
-        out = (raw % p).tolist()
-        return out + [0] * (n - len(out))
+        out = np.zeros(n, dtype=np.int64)
+        np.remainder(raw, p, out=out[: len(raw)])
+        return out
     width = _width(short * (p - 1) * (p - 1))
-    x = _pack(a, width) * _pack(b, width)
+    x = _pack(a, width)
+    x = x * x if square else x * _pack(b, width)
     shift = 8 * width * n
-    return _unpack((x & ((1 << shift) - 1)) + (x >> shift), width, n, p)
+    x = (x & ((1 << shift) - 1)) + (x >> shift)
+    if width <= 8:
+        return (_words(x.to_bytes(width * n, "little"), width, n) % p).astype(np.int64)
+    return np.array(_unpack(x, width, n, p), dtype=np.int64)
 
 
 def _split_sign(cs: Sequence[int]):
@@ -214,7 +239,9 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
     remainder.  Each entry takes at most one subtraction of c * b_j
     <= (p-1)^2 per quotient step, so after `steps` of them it stays
     below steps * (p-1)^2 + p in size; the int64 loop needs that
-    bound under 2^62.
+    bound under 2^62.  Where that bound holds and the quotient has at
+    least `_NEWTON_MIN` coefficients, `_divrem_newton` takes the place
+    of the int64 loop.
     """
     b = trim(b)
     if not b:
@@ -236,6 +263,8 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
                 for j, y in enumerate(low, i):
                     r[j] -= c * y
         return q, trim([x % p for x in r[:m]])
+    if steps >= _NEWTON_MIN:
+        return _divrem_newton(a, b, p)
     rv = np.array(a, dtype=np.int64)
     bv = np.array(b[:m], dtype=np.int64)
     prod = np.empty(m, dtype=np.int64)
@@ -247,6 +276,51 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
             np.multiply(bv, c, out=prod)
             np.subtract(seg, prod, out=seg)
     return q, trim((rv[:m] % p).tolist())
+
+
+def _reciprocal(f: Sequence[int], k: int, p: int) -> List[int]:
+    """The k coefficients of g with f * g = 1 (mod t^k, p); f[0] must be a unit.
+
+    Newton iteration (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 9.1): if f g = 1 mod t^h, then g - g (f g - 1) inverts f
+    mod t^(2h).  The precision runs up through ceil(k / 2^i), so the
+    last step lands on k exactly.  Going from h to l, f g - 1 is t^h D
+    mod t^l, so the step appends the l - h coefficients of -g D mod
+    t^(l-h) to g.
+    """
+    precisions = []
+    while k > 1:
+        precisions.append(k)
+        k = (k + 1) // 2
+    g = [pow(f[0], p - 2, p)]
+    for prec in reversed(precisions):
+        h = len(g)
+        delta = mul_mod(f[:prec], g, p)[h:prec]
+        step = mul_mod(g[: prec - h], delta, p)[: prec - h]
+        g += [-c % p for c in step] + [0] * (prec - h - len(step))
+    return g
+
+
+def _divrem_newton(a: List[int], b: List[int], p: int):
+    """`divrem_mod` for trimmed a, b with deg a >= deg b, by one reciprocal.
+
+    With m = deg b and steps = deg a - m + 1, reversal turns a = q b + r
+    into rev(a) = rev(q) rev(b) (mod t^steps), and rev(b) starts with
+    b's unit leading coefficient, so rev(q) = rev(a) / rev(b) mod
+    t^steps: one `_reciprocal` and one product.  Then r = a - q b, of
+    which only the m low coefficients are nonzero.  Every product goes
+    through `mul_mod`, and the shorter operand of each has at most
+    `steps` coefficients, so where `divrem_mod` sends a division here
+    (steps * (p-1)^2 + p < 2^62) each takes the int64 convolution up
+    to `_KRONECKER_CUTOFF` coefficients.
+    """
+    m = len(b) - 1
+    steps = len(a) - m
+    g = _reciprocal(b[::-1], steps, p)
+    q = mul_mod(a[m:][::-1], g, p)[steps - 1 :: -1]
+    low = mul_mod(q[:m], b[:m], p)[:m]
+    r = (np.array(a[:m], dtype=np.int64) - np.array(low, dtype=np.int64)) % p
+    return q, trim(r.tolist())
 
 
 def gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:

@@ -9,12 +9,15 @@ seed, the modulus and the operand, so results do not depend on call
 order or process layout.
 
 Divisors of t^n - 1 admit much faster arithmetic: the Frobenius x -> x^p
-acts on F_p[t]/(t^n - 1) as a coefficient permutation, and Frobenius
-gcds collapse to gcds with t^g - 1 for divisors g of n.  The
-``*_cyclic`` entry points exploit this; they validate the divisor claim
-on entry and verify their output (equal degrees, reconstruction, and
-Rabin's irreducibility test once per degree class), so they are safe to
-use as an independent oracle for the closed-form counting rules.
+acts on F_p[t]/(t^n - 1) as a coefficient permutation (an index
+permutation of the int64 array that holds a ring element), and the
+Frobenius gcds of distinct-degree splitting and of Rabin's test
+collapse to gcds with t^g - 1 for divisors g of n, which fold their
+input mod t^g - 1 first.  The ``*_cyclic`` entry points exploit this;
+they validate the divisor claim on entry and verify their output
+(equal degrees, reconstruction, and Rabin's irreducibility test once
+per degree class), so they are safe to use as an independent oracle
+for the closed-form counting rules.
 """
 
 from __future__ import annotations
@@ -390,9 +393,16 @@ def _validate_cyclic(f: ModPoly, n: int):
 
 
 def _binomial_gcd(rem: ModPoly, g: int) -> ModPoly:
-    """gcd(rem, t^g - 1) for rem | t^n - 1 and g | n."""
+    """gcd(rem, t^g - 1) for g >= 1.
+
+    t^g = 1 modulo t^g - 1, so rem reduces to the fold of its
+    coefficients (index i goes to i mod g), and one gcd of degree below
+    g is left.
+    """
     p = rem.p
-    return rem.gcd(ModPoly(p, [p - 1] + [0] * (g - 1) + [1]))
+    cs = rem.coeffs
+    folded = ModPoly(p, [sum(cs[i::g]) for i in range(g)])
+    return ModPoly._of(p, (p - 1,) + (0,) * (g - 1) + (1,)).gcd(folded)
 
 
 def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
@@ -427,19 +437,18 @@ def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
     return out
 
 
-# -- ring F_p[t]/(t^n - 1): fold products, permute for Frobenius
+# -- ring F_p[t]/(t^n - 1): elements are int64 arrays of n coefficients;
+# fold products, permute for Frobenius
 
 
-def _ring_frobenius(a: List[int], pw: int, n: int) -> List[int]:
+def _ring_frobenius(a: np.ndarray, pw: int, n: int) -> np.ndarray:
     # x -> x^(p^w) permutes coefficients: index i moves to i*p^w mod n
-    out = [0] * n
-    for i, c in enumerate(a):
-        if c:
-            out[(i * pw) % n] = c
+    out = np.empty_like(a)
+    out[(np.arange(n) * pw) % n] = a
     return out
 
 
-def _ring_norm(x: List[int], k: int, n: int, p: int) -> List[int]:
+def _ring_norm(x: np.ndarray, k: int, n: int, p: int) -> np.ndarray:
     """prod_{i<k} sigma^i(x) in the cyclic ring (norm map to F_p)."""
     acc = x
     have = 1
@@ -451,29 +460,36 @@ def _ring_norm(x: List[int], k: int, n: int, p: int) -> List[int]:
             have += 1
     return acc
 
-def _ring_trace(x: List[int], k: int, n: int) -> List[int]:
-    """sum_{i<k} sigma^i(x) in the cyclic ring over F_2."""
+
+def _ring_trace(x: np.ndarray, k: int, n: int) -> np.ndarray:
+    """sum_{i<k} sigma^i(x) in the cyclic ring over F_2 (addition is xor)."""
     acc = x
     have = 1
     for bit in bin(k)[3:]:
-        shifted = _ring_frobenius(acc, pow(2, have, n), n)
-        acc = [(u + v) % 2 for u, v in zip(acc, shifted)]
+        acc = acc ^ _ring_frobenius(acc, pow(2, have, n), n)
         have *= 2
         if bit == "1":
-            acc = [(u + v) % 2 for u, v in zip(_ring_frobenius(acc, 2 % n, n), x)]
+            acc = _ring_frobenius(acc, 2 % n, n) ^ x
             have += 1
     return acc
 
 
-def _ring_pow(x: List[int], e: int, n: int, p: int) -> List[int]:
-    out = [1] + [0] * (n - 1)
-    cur = x
-    while e:
-        if e & 1:
-            out = _k.mul_cyclic_mod(out, cur, n, p)
-        cur = _k.mul_cyclic_mod(cur, cur, n, p)
-        e >>= 1
-    return out
+def _ring_pow(x: np.ndarray, e: int, n: int, p: int) -> np.ndarray:
+    """x^e in the cyclic ring, by left-to-right square-and-multiply.
+
+    floor(log2 e) squarings and popcount(e) - 1 products; e = 1 returns
+    x itself, so the caller must not write into the result.
+    """
+    if e == 0:
+        out = np.zeros(n, dtype=np.int64)
+        out[0] = 1
+        return out
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = _k.mul_cyclic_mod(acc, acc, n, p)
+        if bit == "1":
+            acc = _k.mul_cyclic_mod(acc, x, n, p)
+    return acc
 
 
 def _edf_cyclic(
@@ -509,13 +525,13 @@ def _edf_cyclic(
         rounds += 1
         if rounds > 64 + 8 * max(1, total.bit_length()):
             raise ArithmeticError("cyclic equal-degree split stalled")  # pragma: no cover
-        x = rng.coeffs(n, p)
+        x = np.array(rng.coeffs(n, p), dtype=np.int64)
         for k in list(pending):
             if p == 2:
-                w = _ring_trace(x, k, n)
+                w = _ring_trace(x, k, n).tolist()
             else:
-                nrm = _ring_norm(x, k, n, p)
-                w = _ring_pow(nrm, (p - 1) // 2, n, p)
+                # the power may be x itself (p = 3, k = 1): subtract in the list
+                w = _ring_pow(_ring_norm(x, k, n, p), (p - 1) // 2, n, p).tolist()
                 w[0] = (w[0] - 1) % p
             # one reduction from ring size down to the class product,
             # then cheap per-piece reductions from there
@@ -561,12 +577,26 @@ def _rabin_cyclic(P: ModPoly, k: int, n: int) -> bool:
     (mod P) and each Frobenius power is a monomial of degree below n.
     The first condition says P | t^(p^k) - t, the product of all monic
     irreducibles of degree dividing k, so every root of P lies in
-    F_(p^k).  A root of degree e < k has e | k/q for some prime q | k,
+    F_(p^k).  A root of degree j < k has j | k/q for some prime q | k,
     so it lies in F_(p^(k/q)) and is a common root of P and
     t^(p^(k/q)) - t; the second condition rules that out.  Hence every
     root has degree exactly k, and every irreducible factor of P has
     degree k: a monic degree-k divisor of P cannot split, so it is
-    irreducible.  The test uses no coset structure of the roots.
+    irreducible.
+
+    Each gcd of the second condition collapses to a binomial one.  Take
+    e >= 1 with e = p^(k/q) (mod n), so that t^(p^(k/q)) = t^e modulo
+    P.  P(0) != 0, so t is a unit modulo P and gcd(P, t^e - t) =
+    gcd(P, t^(e-1) - 1).  Euclid on the exponents (t^a - 1 =
+    t^(a-b) (t^b - 1) + t^(a-b) - 1) gives the elementary identity
+    gcd(t^n - 1, t^a - 1) = t^gcd(n, a) - 1.  As P | t^n - 1,
+    gcd(P, X) = gcd(P, gcd(t^n - 1, X)) for every X, so the gcd is
+    gcd(P, t^g - 1) with g = gcd(e - 1, n), which depends on e mod n
+    only.  When e = 1 (mod n), g = n: the gcd is P, and the test fails
+    as it must, since then t^(p^(k/q)) = t modulo P.  `_binomial_gcd`
+    takes the gcd after folding P mod t^g - 1.  For prime n, g = 1
+    unless e = 1 (mod n), and the gcd is trivial exactly when
+    P(1) != 0.  The test uses no coset structure of the roots.
     """
     if k < 1 or P.degree < 1:
         return False
@@ -575,13 +605,17 @@ def _rabin_cyclic(P: ModPoly, k: int, n: int) -> bool:
     if _monomial_mod(pow(p, k, n), P) != t:
         return False
     for q in {q for q, _ in numth.factorize(k)}:
-        if P.gcd(_monomial_mod(pow(p, k // q, n), P) - t).degree != 0:
+        if _binomial_gcd(P, math.gcd(pow(p, k // q, n) - 1, n)).degree != 0:
             return False
     return True
 
 
 def is_irreducible_cyclic(g: ModPoly, n: int, k: Optional[int] = None) -> bool:
-    """Rabin's test for g | t^n - 1, with Frobenius powers as monomials."""
+    """Rabin's test for g | t^n - 1, with Frobenius powers as monomials.
+
+    Raises ValueError unless g divides t^n - 1 (the test relies on it).
+    """
+    _validate_cyclic(g, n)
     if k is None:
         k = g.degree
     return g.degree == k and _rabin_cyclic(g, k, n)

@@ -1,11 +1,14 @@
 """Factorization engine: squarefree split, CZ, cyclic fast paths."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 import pretzelslice.factor as factor_mod
+from pretzelslice import _kernels as _k
 from pretzelslice import numth, poly
 from pretzelslice.cyclotomic import CyclotomicQuery, reduced
 from pretzelslice.factor import (
@@ -481,3 +484,156 @@ def test_kernel_results_wrapped_unvalidated_are_reduced_and_trimmed(monkeypatch)
             f = ModPoly(p, rng.coeffs(1 + rng.randbelow(20), p) + [1])
             assert factor(f).product() == f, (p, f)
     assert len(calls) > 10_000
+
+
+def test_is_irreducible_cyclic_validates_the_divisor_claim():
+    # t^2 + 1 is irreducible over F_3, but it does not divide t^5 - 1
+    g = ModPoly(3, (1, 0, 1))
+    with pytest.raises(ValueError, match="does not divide"):
+        is_irreducible_cyclic(g, 5)
+    assert is_irreducible_cyclic(g, 4)
+    with pytest.raises(ValueError):
+        is_irreducible_cyclic(ModPoly(3, (1, 1)), 6)  # p | n
+    with pytest.raises(ValueError):
+        is_irreducible_cyclic(ModPoly(2, (0, 1)), 3)  # vanishes at 0
+
+
+# -- Rabin's class test with its gcds collapsed to binomials
+
+
+# composite orders with several characteristics each
+COMPOSITE_CASES = [(63, 2), (63, 5), (63, 11), (63, 13), (105, 2), (105, 11),
+                   (105, 13), (255, 2), (255, 7), (255, 11)]
+
+
+def _class_products():
+    """(P, k, n): the class products of every 8th grid pair and of t^n - 1
+    for composite n, plus for composite n products of two random factors,
+    labelled with the larger degree."""
+    grid = [(d, p) for d in range(3, 501, 2) if numth.is_prime(d)
+            for p in range(2, 101) if numth.is_prime(p) and p != d]
+    out = []
+    for d, p in grid[::8]:
+        f = reduced(CyclotomicQuery(d, p))
+        out += [(P, k, d) for P, k in distinct_degree_cyclic(f, d)]
+    rng = random.Random(63)
+    for n, p in COMPOSITE_CASES:
+        ms = [g for g, _ in factor_cyclic(_tn1(p, n), n)]
+        out += [(P, k, n) for P, k in distinct_degree_cyclic(_tn1(p, n), n)]
+        for _ in range(4):
+            a, b = rng.sample(ms, 2)
+            out.append((a * b, max(a.degree, b.degree), n))
+    return out
+
+
+def _divisors(n):
+    return [g for g in range(1, n + 1) if n % g == 0]
+
+
+def test_binomial_gcd_is_the_generic_gcd():
+    products = _class_products()
+    for P, _, n in products:
+        for g in _divisors(n):
+            want = P.gcd(_tn1(P.p, g))
+            assert factor_mod._binomial_gcd(P, g) == want, (P.p, n, g)
+    assert len(products) > 300
+
+
+def _rabin_by_monomials(P, k, n):
+    """Rabin's test with each gcd taken against t^(p^(k/q) mod n) - t."""
+    if k < 1 or P.degree < 1:
+        return False
+    p = P.p
+    t = ModPoly(p, (0, 1)).divrem(P)[1]
+
+    def frobenius(j):
+        return ModPoly(p, (0,) * pow(p, j, n) + (1,)).divrem(P)[1]
+
+    if frobenius(k) != t:
+        return False
+    primes = {q for q, _ in numth.factorize(k)}
+    return all(P.gcd(frobenius(k // q) - t).degree == 0 for q in primes)
+
+
+def test_class_rabin_agrees_with_the_monomial_gcd_reference():
+    # each product under its own label, and under labels that are off by
+    # a factor: its multiples make p^(k/q) = 1 (mod n) for some q
+    seen = {True: 0, False: 0}
+    for P, k, n in _class_products():
+        for label in {k, 2 * k, 3 * k, 6 * k, max(1, k // 2), k + 1}:
+            got = factor_mod._rabin_cyclic(P.monic(), label, n)
+            assert got == _rabin_by_monomials(P.monic(), label, n), (P.p, n, k, label)
+            seen[got] += 1
+    assert seen[True] > 300 and seen[False] > 1000
+
+
+# -- the ring F_p[t]/(t^n - 1) on int64 arrays
+
+
+def test_ring_frobenius_is_the_coefficient_permutation():
+    rng = random.Random(64)
+    for n in range(1, 65):
+        a = [rng.randrange(97) for _ in range(n)]
+        for pw in {w for w in range(1, 2 * n + 2) if math.gcd(w, n) == 1}:
+            want = [0] * n
+            for i, c in enumerate(a):
+                want[i * pw % n] = c
+            arr = np.array(a, dtype=np.int64)
+            assert factor_mod._ring_frobenius(arr, pw, n).tolist() == want, (n, pw)
+            assert arr.tolist() == a
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (7, 29), (64, 3), (300, 97)])
+def test_ring_pow_is_the_repeated_product(n, p):
+    rng = random.Random(n + p)
+    x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+    keep = x.copy()
+    want = [1] + [0] * (n - 1)
+    for e in range(71):
+        got = factor_mod._ring_pow(x, e, n, p)
+        assert got.tolist() == want, e
+        assert (x == keep).all()
+        raw = _k.mul_mod(want, x.tolist(), p)
+        want = [sum(raw[i::n]) % p for i in range(n)]
+
+
+def test_ring_pow_squarings_and_products(monkeypatch):
+    calls = []
+    orig = _k.mul_cyclic_mod
+
+    def counted(a, b, n, p):
+        calls.append(a is b)
+        return orig(a, b, n, p)
+
+    monkeypatch.setattr(_k, "mul_cyclic_mod", counted)
+    x = np.arange(1, 8, dtype=np.int64)
+    for e in (1, 2, 3, 48, 70):
+        del calls[:]
+        factor_mod._ring_pow(x, e, 7, 29)
+        # floor(log2 e) squarings and popcount(e) - 1 other products
+        assert calls.count(True) == e.bit_length() - 1
+        assert calls.count(False) == bin(e).count("1") - 1
+    assert factor_mod._ring_pow(x, 1, 7, 29) is x
+
+
+@pytest.mark.parametrize("f, n", [
+    # p = 3: the power (p - 1) / 2 is 1, and classes of degree 1 and 2
+    (_tn1(3, 8), 8), (_tn1(3, 16), 16), (_tn1(3, 80), 80),
+    # 29 = 1 mod 7: Phi_7 is one class of six linear factors
+    (reduced(CyclotomicQuery(7, 29)), 7),
+])
+def test_factor_cyclic_leaves_the_random_element_alone(f, n, monkeypatch):
+    """Every class of a round reads the same x: the norm, the power and
+    the subtraction of 1 write into no array that x is."""
+    assert factor_cyclic(f, n) == factor(f)
+    seen = []
+    orig = factor_mod._ring_norm
+
+    def recorded(x, k, n_, p):
+        seen.append((x, x.copy()))
+        return orig(x, k, n_, p)
+
+    monkeypatch.setattr(factor_mod, "_ring_norm", recorded)
+    assert factor_cyclic(f, n, seed=5) == factor(f)
+    assert seen
+    assert all((x == snapshot).all() for x, snapshot in seen)

@@ -301,6 +301,132 @@ def test_divrem_with_moduli_past_int64():
         _check_divrem(a, b, p)
 
 
+# -- the reciprocal (Newton) path
+
+NEWTON_PRIMES = (2, 3, 97, M61, (1 << 89) - 1)
+
+
+def newton_taken(m, steps, p):
+    """Whether `divrem_mod` should divide by a reciprocal (its docstring)."""
+    in_int64 = m >= _k._DIV_SHORT and steps * (p - 1) ** 2 + p < _k._I64_SAFE
+    return in_int64 and steps >= _k._NEWTON_MIN
+
+
+@pytest.mark.parametrize("p", NEWTON_PRIMES)
+@pytest.mark.parametrize("m, steps", [
+    (_k._NEWTON_MIN - 1, _k._NEWTON_MIN),
+    (_k._NEWTON_MIN, _k._NEWTON_MIN),
+    (_k._NEWTON_MIN, _k._NEWTON_MIN - 1),
+    (_k._NEWTON_MIN - 1, _k._NEWTON_MIN - 1),
+    (_k._DIV_SHORT - 1, _k._NEWTON_MIN),
+    (_k._DIV_SHORT, _k._NEWTON_MIN),
+    (_k._DIV_SHORT, 3 * _k._NEWTON_MIN),
+    (3 * _k._NEWTON_MIN, _k._NEWTON_MIN),
+])
+def test_divrem_at_the_newton_cutoff(p, m, steps, monkeypatch):
+    newton = spy(monkeypatch, "_divrem_newton")
+    rng = random.Random(m * 1000 + steps + p % 1000)
+    b = vec(rng, m + 1, p)
+    cases = [(vec(rng, m + steps, p), b), (vec(rng, m + steps, p), b[:-1] + [1]),
+             worst_division(p, m, steps)]
+    for a, divisor in cases:
+        del newton[:]
+        assert _k.divrem_mod(a, divisor, p) == ref_divrem(a, divisor, p)
+        assert len(newton) == newton_taken(m, steps, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+@pytest.mark.parametrize("m", [_k._DIV_SHORT, 300])
+@pytest.mark.parametrize("steps", [_k._KRONECKER_CUTOFF + 1, 600])
+def test_divrem_newton_with_quotients_past_the_kronecker_cutoff(p, m, steps, monkeypatch):
+    newton = spy(monkeypatch, "_divrem_newton")
+    packed = spy(monkeypatch, "_mul_kronecker_mod")
+    rng = random.Random(m + steps + p)
+    for a, b in ((vec(rng, m + steps, p), vec(rng, m + 1, p)), worst_division(p, m, steps)):
+        assert _k.divrem_mod(a, b, p) == ref_divrem(a, b, p)
+    assert len(newton) == 2
+    # rev(a) times the reciprocal: both operands have `steps` coefficients
+    assert len(packed) >= 2
+
+
+@pytest.mark.parametrize("p_bits", [26, 27])
+def test_divrem_newton_at_the_int64_step_bound(p_bits, monkeypatch):
+    """At the longest quotient the int64 loop could take, and one past it.
+
+    Every product of the reciprocal path has a shorter operand of at
+    most `steps` coefficients, so the division bound covers them all:
+    at 2^27 the longest quotient is 256 = `_KRONECKER_CUTOFF`, and every
+    product convolves in int64; at 2^26 it is 1024, and the long ones
+    pack.
+    """
+    newton = spy(monkeypatch, "_divrem_newton")
+    packed = spy(monkeypatch, "_mul_kronecker_mod")
+    p = _prime_at_or_below(1 << p_bits)
+    most = (_k._I64_SAFE - p - 1) // ((p - 1) ** 2)
+    assert most >= _k._NEWTON_MIN
+    for steps, taken in ((most, True), (most + 1, False)):
+        del newton[:], packed[:]
+        a, b = worst_division(p, most + 1, steps)
+        q, r = _k.divrem_mod(a, b, p)
+        assert q == [p - 1] * steps
+        assert (q, r) == ref_divrem(a, b, p)
+        assert len(newton) == taken
+        assert bool(packed) == (taken and most > _k._KRONECKER_CUTOFF)
+
+
+# the division bound for P_MID: 115 steps * (P_MID - 1)^2 + P_MID < 2^62
+LAST_I64_DIV = 115
+
+
+@pytest.mark.parametrize("steps", [LAST_I64_DIV, LAST_I64_DIV + 1])
+def test_divrem_newton_products_at_the_int64_bound(steps, monkeypatch):
+    """P_MID puts the division bound at 115 steps, below the Kronecker cutoff.
+
+    With divisors longer than the quotient, the quotient and the divisor
+    are all p - 1, so the product q * b reaches 115 (p-1)^2 at 115 steps,
+    where every product of the reciprocal path convolves in int64; at
+    116 the division leaves the int64 regime for the Python loop.
+    """
+    p = P_MID
+    assert LAST_I64_DIV * (p - 1) ** 2 + p < _k._I64_SAFE <= (LAST_I64_DIV + 1) * (p - 1) ** 2 + p
+    newton = spy(monkeypatch, "_divrem_newton")
+    packed = spy(monkeypatch, "_mul_kronecker_mod")
+    for m in (LAST_I64_DIV + 1, 200):
+        a, b = worst_division(p, m, steps)
+        q, r = _k.divrem_mod(a, b, p)
+        assert q == [p - 1] * steps
+        assert (q, r) == ref_divrem(a, b, p)
+    rng = random.Random(steps)
+    a, b = vec(rng, _k._NEWTON_MIN + steps, p), vec(rng, _k._NEWTON_MIN + 1, p)
+    assert _k.divrem_mod(a, b, p) == ref_divrem(a, b, p)
+    assert len(newton) == 3 * (steps <= LAST_I64_DIV)
+    assert not packed
+
+
+def ref_inverse_series(f, k, p):
+    """The first k coefficients of 1/f, one at a time."""
+    inv = pow(f[0], -1, p)
+    g = []
+    for i in range(k):
+        acc = 1 if i == 0 else 0
+        for j in range(1, min(i, len(f) - 1) + 1):
+            acc -= f[j] * g[i - j]
+        g.append(acc * inv % p)
+    return g
+
+
+@pytest.mark.parametrize("p", NEWTON_PRIMES)
+def test_reciprocal_inverts_mod_every_power_of_t(p):
+    # rev(b) * g = 1 mod t^k; the inverse mod t^k is unique, so it is the
+    # first k coefficients of the power series 1 / rev(b)
+    rng = random.Random(p % 10007)
+    for length in (2, 301):
+        f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(length - 1)]
+        want = ref_inverse_series(f, 300, p)
+        for k in range(1, 301):
+            assert _k._reciprocal(f, k, p) == want[:k], (length, k)
+
+
 def test_divrem_short_dividend_and_zero_divisor():
     assert _k.divrem_mod([1, 2], [3, 4, 5], 7) == ([], [1, 2])
     assert _k.divrem_mod([0, 0], [1, 1], 7) == ([], [])
@@ -352,7 +478,7 @@ def test_ring_mul_is_the_product_reduced_mod_t_n_minus_1(n, p):
     rng = random.Random(n * 101 + p)
     a = [rng.randrange(p) for _ in range(n)]
     b = [rng.randrange(p) for _ in range(n)]
-    got = _k.mul_cyclic_mod(a, b, n, p)
+    got = _k.mul_cyclic_mod(a, b, n, p).tolist()
     assert len(got) == n
     assert got == ref_cyclic(a, b, n, p)
     # also against mul_mod followed by the reduction
@@ -396,7 +522,7 @@ def test_mul_cyclic_mod_at_the_path_cutoffs(p, la, lb, n, monkeypatch):
     a, b = vec(rng, la, p), vec(rng, lb, p)
     for x, y in ((a, b), (b, a), ([p - 1] * la, [p - 1] * lb)):
         del school[:], packed[:]
-        got = _k.mul_cyclic_mod(x, y, n, p)
+        got = _k.mul_cyclic_mod(x, y, n, p).tolist()
         assert len(school) == (la <= _k._TINY and lb <= _k._TINY)
         assert len(packed) == 2 * (min(la, lb) > _k._KRONECKER_CUTOFF)
         assert got == folded_mul_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
@@ -412,7 +538,7 @@ def test_mul_cyclic_mod_at_the_int64_bound(short, monkeypatch):
         # is exactly short * (p - 1)^2, the bound itself
         for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
             before = len(packed)
-            got = _k.mul_cyclic_mod(x, y, n, p)
+            got = _k.mul_cyclic_mod(x, y, n, p).tolist()
             assert len(packed) - before == 2 * (short > LAST_I64)
             assert got == ref_cyclic(x, y, n, p)
             assert got == folded_mul_mod(x, y, n, p)
@@ -427,7 +553,7 @@ def test_mul_cyclic_mod_at_each_packed_width(width, monkeypatch):
     for la, lb in ((n, n), (n, n - 1), (n - 2, n), (n // 2 + 1, n // 2 + 1)):
         for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
             del packed[:]
-            assert _k.mul_cyclic_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
+            assert _k.mul_cyclic_mod(x, y, n, p).tolist() == ref_cyclic(x, y, n, p)
             tiny = la <= _k._TINY and lb <= _k._TINY
             assert [w for _, w in packed] == [_k._width(min(la, lb) * (p - 1) ** 2)] * 2 * (not tiny)
             if la == lb == n:
@@ -440,7 +566,7 @@ def test_mul_cyclic_mod_with_the_mersenne_prime(n):
     p = M61
     for la, lb in ((n, n), (1, n), (max(1, n // 2), max(1, n - 1))):
         for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
-            got = _k.mul_cyclic_mod(x, y, n, p)
+            got = _k.mul_cyclic_mod(x, y, n, p).tolist()
             assert got == folded_mul_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
 
 
@@ -454,7 +580,7 @@ def test_mul_cyclic_mod_with_operands_shorter_than_n(p):
             a, b = vec(rng, la, p), [0] * (lb - 1) + [1]
             c = vec(rng, lb, p)
             for x, y in ((a, b), (a, c), (c, a)):
-                got = _k.mul_cyclic_mod(x, y, n, p)
+                got = _k.mul_cyclic_mod(x, y, n, p).tolist()
                 assert len(got) == n
                 assert got == folded_mul_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
 
@@ -464,3 +590,29 @@ def test_mul_cyclic_mod_rejects_operands_outside_the_ring():
         _k.mul_cyclic_mod([1, 2, 3], [1], 2, 5)
     with pytest.raises(ValueError):
         _k.mul_cyclic_mod([], [1], 2, 5)
+
+
+@pytest.mark.parametrize("n", [1, 3, _k._TINY, _k._TINY + 1, 64, _k._KRONECKER_CUTOFF,
+                               _k._KRONECKER_CUTOFF + 1, 499])
+@pytest.mark.parametrize("p", [2, 97, 65521, M61])
+def test_mul_cyclic_mod_on_int64_arrays_and_squares(n, p, monkeypatch):
+    """int64 arrays in, an int64 array of n coefficients out, on every path.
+
+    A square (the same object twice) packs once on the Kronecker path;
+    its value is still `mul_mod` followed by an explicit fold.
+    """
+    packed = spy(monkeypatch, "_pack")
+    rng = random.Random(n * 7 + p % 1000)
+    x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+    y = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+    for u, v, packs in ((x, y, 2), (x, x, 1), (y[: n // 2 + 1], x, 2)):
+        del packed[:]
+        before = u.copy(), v.copy()
+        got = _k.mul_cyclic_mod(u, v, n, p)
+        short = min(len(u), len(v))
+        int64 = short <= _k._KRONECKER_CUTOFF and short * (p - 1) ** 2 < _k._I64_SAFE
+        tiny = len(u) <= _k._TINY and len(v) <= _k._TINY
+        assert len(packed) == packs * (not tiny and not int64)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        assert got.tolist() == folded_mul_mod(u.tolist(), v.tolist(), n, p)
+        assert (u == before[0]).all() and (v == before[1]).all()
