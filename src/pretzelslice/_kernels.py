@@ -12,11 +12,11 @@ Which path a call takes depends on the operand lengths:
   most `_TINY` coefficients, `np.convolve` while the shorter one has at
   most `_KRONECKER_CUTOFF`, Kronecker packing beyond (and whenever the
   int64 bound fails); the product in the cyclic ring F_p[t]/(t^n - 1)
-  takes int64 arrays to an int64 array, by the same paths, and folds
-  before it reduces;
+  takes arrays to an array (int64 for p < 2^63, Python ints beyond),
+  by the same paths, and folds before it reduces;
 * division: a plain Python loop for divisors of degree below
   `_DIV_SHORT` or when the int64 bound fails; otherwise an int64 loop
-  in place for quotients shorter than `_NEWTON_MIN`, and for longer
+  in place for quotients shorter than `_newton_min(p)`, and for longer
   ones a reciprocal by Newton iteration, with every product through
   `mul_mod`;
 * gcd: Euclid on int64 arrays held across steps once both inputs
@@ -50,18 +50,34 @@ _KRONECKER_CUTOFF = 256
 # the int64 one (64 quotient steps by degree 12: 63 against 96; by degree
 # 64: 339 against 118; degrees 16 to 24 come out even within the noise).
 _DIV_SHORT = 16
-# Quotients of at least this many coefficients come from a reciprocal
-# (Newton iteration) instead of the int64 loop, at any divisor degree the
-# int64 loop takes.  At p = 97 the loop still wins or ties at 32 quotient
-# steps, and the reciprocal is ahead 1.0-1.4x at 48, 1.0-1.6x at 64 and
-# 1.4-3.2x at 484, for divisor degrees 16 to 484.  At p = 2 and 3 the
-# loop skips its zero quotient coefficients and stays ahead on random
-# inputs up to about 256 and 96 steps, but on the cyclotomic oracle's
-# p = 2, 3 pairs every cutoff from 48 to 256 times the same within the
-# noise (BENCH_10.json).
-_NEWTON_MIN = 48
+# Quotients of at least `_newton_min(p)` coefficients come from a
+# reciprocal (Newton iteration) instead of the int64 loop, at any divisor
+# degree the int64 loop takes.  The loop skips its zero quotient
+# coefficients, a 1/p share of them, so it holds out longest at small p.
+# Loop time over reciprocal time on random divisions, two runs (BENCH_10.json
+# revision_2.divrem_cutoff_by_p), at divisor degrees 16, 48, 128 and 484:
+#   p = 2,  128 steps: 1.09 1.05 1.00 0.87 | 0.99 0.96 0.63 0.73
+#           192 steps: 1.27 1.14 1.02 1.01 | 1.08 1.10 0.96 1.01
+#   p = 3,   64 steps: 1.10 1.06 1.09 0.83 | 1.41 0.89 0.89 0.81
+#            96 steps: 1.32 1.12 1.00 0.96 | 1.03 1.02 0.99 1.07
+#   p = 5,   48 steps: 0.99 0.96 1.00 0.87 | 0.93 0.82 1.02 0.83
+#            64 steps: 1.38 1.21 1.22 1.03 | 1.11 1.02 0.95 0.88
+#   p = 97,  48 steps: 1.19 1.13 1.05 0.99 | 1.17 1.12 1.02 0.84
+#            64 steps: 1.44 1.36 1.20 1.05 | 1.41 1.35 1.20 1.15
+_NEWTON_MIN = 64
+_NEWTON_MIN_SMALL_P = {2: 192, 3: 96}
 # Both gcd inputs longer than this: Euclid on int64 arrays in place.
 _GCD_INPLACE = 128
+
+
+def _newton_min(p: int) -> int:
+    """Quotient length from which `divrem_mod` divides by a reciprocal."""
+    return _NEWTON_MIN_SMALL_P.get(p, _NEWTON_MIN)
+
+
+def cyclic_dtype(p: int):
+    """Array dtype for ring elements mod p: int64 while [0, p) fits, else object."""
+    return np.int64 if p < 1 << 63 else object
 
 
 def trim(cs: Sequence[int]) -> List[int]:
@@ -145,11 +161,12 @@ def mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
 
 
 def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
-    """a * b mod (t^n - 1, p) as an int64 array of n coefficients, not trimmed.
+    """a * b mod (t^n - 1, p) as an array of n coefficients, not trimmed.
 
-    The operands are int64 arrays (or sequences) of 1..n coefficients in
-    [0, p), p < 2^63, so that ring elements stay arrays from one product
-    to the next.  Coefficient k of the cyclic product is the sum of
+    The operands are arrays (or sequences) of 1..n coefficients in
+    [0, p), so that ring elements stay arrays from one product to the
+    next; the result has dtype `cyclic_dtype(p)`, int64 where [0, p)
+    fits and Python ints beyond, so the ring is exact at any p.  Coefficient k of the cyclic product is the sum of
     a_i b_j over i + j = k (mod n).  For each i at most one j < len(b) <= n
     is in that class, and symmetrically, so every coefficient is a sum
     of at most min(la, lb) products of size (p-1)^2: the bound of
@@ -162,8 +179,9 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     it multiplies two.
     """
     square = a is b
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    dtype = cyclic_dtype(p)
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     la, lb = len(a), len(b)
     if not (0 < la <= n and 0 < lb <= n):
         raise ValueError(f"operand lengths {la}, {lb} outside 1..{n}")
@@ -171,7 +189,7 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
         folded = [0] * n
         for k, c in enumerate(_mul_school(a.tolist(), b.tolist())):
             folded[k % n] += c
-        return np.array([c % p for c in folded], dtype=np.int64)
+        return np.array([c % p for c in folded], dtype=dtype)
     short = min(la, lb)
     if short <= _KRONECKER_CUTOFF and short * (p - 1) * (p - 1) < _I64_SAFE:
         raw = np.convolve(a, b)
@@ -189,7 +207,7 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     x = (x & ((1 << shift) - 1)) + (x >> shift)
     if width <= 8:
         return (_words(x.to_bytes(width * n, "little"), width, n) % p).astype(np.int64)
-    return np.array(_unpack(x, width, n, p), dtype=np.int64)
+    return np.array(_unpack(x, width, n, p), dtype=dtype)
 
 
 def _split_sign(cs: Sequence[int]):
@@ -240,8 +258,8 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
     <= (p-1)^2 per quotient step, so after `steps` of them it stays
     below steps * (p-1)^2 + p in size; the int64 loop needs that
     bound under 2^62.  Where that bound holds and the quotient has at
-    least `_NEWTON_MIN` coefficients, `_divrem_newton` takes the place
-    of the int64 loop.
+    least `_newton_min(p)` coefficients, `_divrem_newton` takes the
+    place of the int64 loop.
     """
     b = trim(b)
     if not b:
@@ -263,7 +281,7 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
                 for j, y in enumerate(low, i):
                     r[j] -= c * y
         return q, trim([x % p for x in r[:m]])
-    if steps >= _NEWTON_MIN:
+    if steps >= _newton_min(p):
         return _divrem_newton(a, b, p)
     rv = np.array(a, dtype=np.int64)
     bv = np.array(b[:m], dtype=np.int64)

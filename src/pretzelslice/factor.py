@@ -10,7 +10,7 @@ order or process layout.
 
 Divisors of t^n - 1 admit much faster arithmetic: the Frobenius x -> x^p
 acts on F_p[t]/(t^n - 1) as a coefficient permutation (an index
-permutation of the int64 array that holds a ring element), and the
+permutation of the array that holds a ring element), and the
 Frobenius gcds of distinct-degree splitting and of Rabin's test
 collapse to gcds with t^g - 1 for divisors g of n, which fold their
 input mod t^g - 1 first.  The ``*_cyclic`` entry points exploit this;
@@ -437,8 +437,8 @@ def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
     return out
 
 
-# -- ring F_p[t]/(t^n - 1): elements are int64 arrays of n coefficients;
-# fold products, permute for Frobenius
+# -- ring F_p[t]/(t^n - 1): elements are arrays of n coefficients (int64
+# for p < 2^63, Python ints beyond); fold products, permute for Frobenius
 
 
 def _ring_frobenius(a: np.ndarray, pw: int, n: int) -> np.ndarray:
@@ -475,15 +475,11 @@ def _ring_trace(x: np.ndarray, k: int, n: int) -> np.ndarray:
 
 
 def _ring_pow(x: np.ndarray, e: int, n: int, p: int) -> np.ndarray:
-    """x^e in the cyclic ring, by left-to-right square-and-multiply.
+    """x^e for e >= 1 in the cyclic ring, by left-to-right square-and-multiply.
 
     floor(log2 e) squarings and popcount(e) - 1 products; e = 1 returns
     x itself, so the caller must not write into the result.
     """
-    if e == 0:
-        out = np.zeros(n, dtype=np.int64)
-        out[0] = 1
-        return out
     acc = x
     for bit in bin(e)[3:]:
         acc = _k.mul_cyclic_mod(acc, acc, n, p)
@@ -525,7 +521,7 @@ def _edf_cyclic(
         rounds += 1
         if rounds > 64 + 8 * max(1, total.bit_length()):
             raise ArithmeticError("cyclic equal-degree split stalled")  # pragma: no cover
-        x = np.array(rng.coeffs(n, p), dtype=np.int64)
+        x = np.array(rng.coeffs(n, p), dtype=_k.cyclic_dtype(p))
         for k in list(pending):
             if p == 2:
                 w = _ring_trace(x, k, n).tolist()

@@ -588,8 +588,8 @@ def test_ring_pow_is_the_repeated_product(n, p):
     rng = random.Random(n + p)
     x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
     keep = x.copy()
-    want = [1] + [0] * (n - 1)
-    for e in range(71):
+    want = x.tolist()
+    for e in range(1, 71):
         got = factor_mod._ring_pow(x, e, n, p)
         assert got.tolist() == want, e
         assert (x == keep).all()
@@ -614,6 +614,63 @@ def test_ring_pow_squarings_and_products(monkeypatch):
         assert calls.count(True) == e.bit_length() - 1
         assert calls.count(False) == bin(e).count("1") - 1
     assert factor_mod._ring_pow(x, 1, 7, 29) is x
+
+
+# the largest prime below 2^63, the top of the ModPoly range, and one
+# past it; both are 1 mod 3 and mod 9
+P63_TOP = 9_223_372_036_854_775_783
+P64 = 9_223_372_036_854_775_837
+M89 = (1 << 89) - 1
+
+
+@pytest.mark.parametrize("f, n", [
+    (ModPoly(P63_TOP, (1, 1, 1)), 3),
+    (ModPoly(P63_TOP, (1, 0, 0, 1, 0, 0, 1)), 9),
+])
+def test_factor_cyclic_at_the_top_of_the_int64_ring(f, n):
+    """Ring elements below 2^63 stay int64, every product packs past 8 bytes."""
+    assert f.p % n == 1
+    assert factor_cyclic(f, n) == factor(f)
+    assert len(factor(f).factors) == f.degree
+
+
+def test_moduli_past_a_machine_word_are_rejected_on_entry():
+    assert numth.is_prime(P64)
+    with pytest.raises(ValueError, match="machine word"):
+        ModPoly(P64, (1, 1, 1))
+
+
+@pytest.mark.parametrize("p", [P63_TOP, P64, M89])
+def test_ring_is_exact_past_int64(p):
+    """Norm and power on the ring at any p: int64 arrays below 2^63,
+    arrays of Python ints beyond, against a list reference."""
+    n = 9
+    rng = random.Random(p % 1000)
+    x = np.array([rng.randrange(p) for _ in range(n)], dtype=_k.cyclic_dtype(p))
+    assert x.dtype == (np.int64 if p < 1 << 63 else object)
+    keep = x.tolist()
+
+    def times(a, b):
+        raw = _k.mul_mod(a, b, p)
+        return [sum(raw[i::n]) % p for i in range(n)]
+
+    def frob(a, pw):
+        out = [0] * n
+        for i, c in enumerate(a):
+            out[i * pw % n] = c
+        return out
+
+    want = [1] + [0] * (n - 1)
+    for i in range(3):
+        want = times(want, frob(keep, pow(p, i, n)))
+    norm = factor_mod._ring_norm(x, 3, n, p)
+    assert norm.dtype == x.dtype and norm.tolist() == want
+    power = keep
+    for _ in range(4):
+        power = times(power, keep)
+    got = factor_mod._ring_pow(x, 5, n, p)
+    assert got.dtype == x.dtype and got.tolist() == power
+    assert x.tolist() == keep
 
 
 @pytest.mark.parametrize("f, n", [

@@ -14,6 +14,9 @@ import pytest
 from pretzelslice import _kernels as _k
 
 M61 = (1 << 61) - 1
+M89 = (1 << 89) - 1
+P63_TOP = 9_223_372_036_854_775_783  # the largest prime below 2^63
+P64 = 9_223_372_036_854_775_837  # the smallest prime above 2^63
 P31 = (1 << 31) - 1  # the largest prime below 2^31
 PRIMES = (2, 3, 5, 13, 97, 251, 257, 4099, 65521, 65537, 1048573, 16777213, P31, M61)
 
@@ -309,21 +312,32 @@ NEWTON_PRIMES = (2, 3, 97, M61, (1 << 89) - 1)
 def newton_taken(m, steps, p):
     """Whether `divrem_mod` should divide by a reciprocal (its docstring)."""
     in_int64 = m >= _k._DIV_SHORT and steps * (p - 1) ** 2 + p < _k._I64_SAFE
-    return in_int64 and steps >= _k._NEWTON_MIN
+    return in_int64 and steps >= _k._newton_min(p)
+
+
+def test_newton_cutoff_is_higher_at_small_p():
+    # the loop skips zero quotient coefficients, a 1/p share of them
+    assert _k._newton_min(2) > _k._newton_min(3) > _k._newton_min(5) == _k._NEWTON_MIN
+    assert all(_k._newton_min(p) == _k._NEWTON_MIN for p in PRIMES[2:] + NEWTON_PRIMES[2:])
+
+
+# (divisor degree, quotient length) around the cutoff c = _newton_min(p)
+NEWTON_SHAPES = {
+    "c-1/c": lambda c: (c - 1, c),
+    "c/c": lambda c: (c, c),
+    "c/c-1": lambda c: (c, c - 1),
+    "c-1/c-1": lambda c: (c - 1, c - 1),
+    "short-1/c": lambda c: (_k._DIV_SHORT - 1, c),
+    "short/c": lambda c: (_k._DIV_SHORT, c),
+    "short/3c": lambda c: (_k._DIV_SHORT, 3 * c),
+    "3c/c": lambda c: (3 * c, c),
+}
 
 
 @pytest.mark.parametrize("p", NEWTON_PRIMES)
-@pytest.mark.parametrize("m, steps", [
-    (_k._NEWTON_MIN - 1, _k._NEWTON_MIN),
-    (_k._NEWTON_MIN, _k._NEWTON_MIN),
-    (_k._NEWTON_MIN, _k._NEWTON_MIN - 1),
-    (_k._NEWTON_MIN - 1, _k._NEWTON_MIN - 1),
-    (_k._DIV_SHORT - 1, _k._NEWTON_MIN),
-    (_k._DIV_SHORT, _k._NEWTON_MIN),
-    (_k._DIV_SHORT, 3 * _k._NEWTON_MIN),
-    (3 * _k._NEWTON_MIN, _k._NEWTON_MIN),
-])
-def test_divrem_at_the_newton_cutoff(p, m, steps, monkeypatch):
+@pytest.mark.parametrize("shape", list(NEWTON_SHAPES))
+def test_divrem_at_the_newton_cutoff(p, shape, monkeypatch):
+    m, steps = NEWTON_SHAPES[shape](_k._newton_min(p))
     newton = spy(monkeypatch, "_divrem_newton")
     rng = random.Random(m * 1000 + steps + p % 1000)
     b = vec(rng, m + 1, p)
@@ -363,7 +377,7 @@ def test_divrem_newton_at_the_int64_step_bound(p_bits, monkeypatch):
     packed = spy(monkeypatch, "_mul_kronecker_mod")
     p = _prime_at_or_below(1 << p_bits)
     most = (_k._I64_SAFE - p - 1) // ((p - 1) ** 2)
-    assert most >= _k._NEWTON_MIN
+    assert most >= _k._newton_min(p)
     for steps, taken in ((most, True), (most + 1, False)):
         del newton[:], packed[:]
         a, b = worst_division(p, most + 1, steps)
@@ -397,7 +411,8 @@ def test_divrem_newton_products_at_the_int64_bound(steps, monkeypatch):
         assert q == [p - 1] * steps
         assert (q, r) == ref_divrem(a, b, p)
     rng = random.Random(steps)
-    a, b = vec(rng, _k._NEWTON_MIN + steps, p), vec(rng, _k._NEWTON_MIN + 1, p)
+    cut = _k._newton_min(p)
+    a, b = vec(rng, cut + steps, p), vec(rng, cut + 1, p)
     assert _k.divrem_mod(a, b, p) == ref_divrem(a, b, p)
     assert len(newton) == 3 * (steps <= LAST_I64_DIV)
     assert not packed
@@ -616,3 +631,20 @@ def test_mul_cyclic_mod_on_int64_arrays_and_squares(n, p, monkeypatch):
         assert got.dtype == np.int64 and got.shape == (n,)
         assert got.tolist() == folded_mul_mod(u.tolist(), v.tolist(), n, p)
         assert (u == before[0]).all() and (v == before[1]).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, _k._TINY, _k._TINY + 1, 64, _k._KRONECKER_CUTOFF + 1])
+@pytest.mark.parametrize("p", [P63_TOP, P64, M89])
+def test_mul_cyclic_mod_past_int64(n, p):
+    """Moduli at 2^63 and beyond: ring elements hold Python ints, exact on every path."""
+    dtype = _k.cyclic_dtype(p)
+    assert dtype == (np.int64 if p < 1 << 63 else object)
+    rng = random.Random(n + p % 1000)
+    x = np.array([rng.randrange(p) for _ in range(n)], dtype=dtype)
+    y = np.array([rng.randrange(p) for _ in range(n)], dtype=dtype)
+    top = np.array([p - 1] * n, dtype=dtype)
+    for u, v in ((x, y), (x, x), (y[: n // 2 + 1], x), (top, top), (x.tolist(), y.tolist())):
+        got = _k.mul_cyclic_mod(u, v, n, p)
+        assert got.dtype == dtype and got.shape == (n,)
+        a, b = [int(c) for c in u], [int(c) for c in v]
+        assert got.tolist() == folded_mul_mod(a, b, n, p) == ref_cyclic(a, b, n, p)
