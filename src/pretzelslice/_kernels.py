@@ -12,15 +12,16 @@ Which path a call takes depends on the operand lengths:
   most `_TINY` coefficients, `np.convolve` while the shorter one has at
   most `_KRONECKER_CUTOFF`, Kronecker packing beyond (and whenever the
   int64 bound fails); the product in the cyclic ring F_p[t]/(t^n - 1)
-  takes arrays to an array (int64 for p < 2^63, Python ints beyond),
-  by the same paths, and folds before it reduces;
+  takes the last two only, arrays in and an array out (int64 for
+  p < 2^63, Python ints beyond), and folds before it reduces;
 * division: a plain Python loop for divisors of degree below
   `_DIV_SHORT` or when the int64 bound fails; otherwise an int64 loop
   in place for quotients shorter than `_newton_min(p)`, and for longer
   ones a reciprocal by Newton iteration, with every product through
   `mul_mod`;
-* gcd: Euclid on int64 arrays held across steps once both inputs
-  exceed `_GCD_INPLACE` coefficients, repeated division below that.
+* gcd: Euclid on int64 arrays held across steps once both inputs have
+  more than `_DIV_SHORT` coefficients and the int64 bound holds,
+  repeated `divrem_mod` otherwise.
 
 These helpers are internal; `poly` wraps them in value types and the
 `factor` module drives them at scale.
@@ -37,8 +38,9 @@ _I64_SAFE = 1 << 62
 
 # Cutoffs timed at p = 97 on operands of 4..4096 coefficients (numpy 2.4,
 # CPython 3.11, 2 vCPUs; times in microseconds).
-# Schoolbook wins while both operands have at most _TINY coefficients
-# (4 x 4: 2.7 against 5.1 for np.convolve; 8 x 8: 6.5 against 3.4).
+# In `mul_mod` and `mul_int` schoolbook wins while both operands have at
+# most _TINY coefficients (mul_mod 4 x 4: 5.0 against 6.7 for np.convolve;
+# 6 x 6: 5.9 against 4.4).
 _TINY = 5
 # np.convolve costs about la * lb, Kronecker packing at the exact byte
 # width about (la + lb)^1.6, so the shorter operand decides: packing wins
@@ -47,8 +49,12 @@ _TINY = 5
 # 613 and 744; 4096 x 256: 1099 and 953).
 _KRONECKER_CUTOFF = 256
 # Divisors of lower degree divide faster in the plain Python loop than in
-# the int64 one (64 quotient steps by degree 12: 63 against 96; by degree
-# 64: 339 against 118; degrees 16 to 24 come out even within the noise).
+# the int64 one (48 quotient steps by degree 12: 89 against 155; by degree
+# 64: 330 against 153).  `gcd_mod` runs Euclid in place once both inputs
+# are longer than this (with a common factor, p = 97: 41 coefficients 326
+# against 476 by repeated division, 161: 712 against 2889; 16: 120 against
+# 89).  Both break even higher: gcd near 20 coefficients, division between
+# degrees 24 and 32 (BENCH_11.json).
 _DIV_SHORT = 16
 # Quotients of at least `_newton_min(p)` coefficients come from a
 # reciprocal (Newton iteration) instead of the int64 loop, at any divisor
@@ -66,8 +72,6 @@ _DIV_SHORT = 16
 #            64 steps: 1.44 1.36 1.20 1.05 | 1.41 1.35 1.20 1.15
 _NEWTON_MIN = 64
 _NEWTON_MIN_SMALL_P = {2: 192, 3: 96}
-# Both gcd inputs longer than this: Euclid on int64 arrays in place.
-_GCD_INPLACE = 128
 
 
 def _newton_min(p: int) -> int:
@@ -166,17 +170,19 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     The operands are arrays (or sequences) of 1..n coefficients in
     [0, p), so that ring elements stay arrays from one product to the
     next; the result has dtype `cyclic_dtype(p)`, int64 where [0, p)
-    fits and Python ints beyond, so the ring is exact at any p.  Coefficient k of the cyclic product is the sum of
-    a_i b_j over i + j = k (mod n).  For each i at most one j < len(b) <= n
-    is in that class, and symmetrically, so every coefficient is a sum
-    of at most min(la, lb) products of size (p-1)^2: the bound of
-    `mul_mod`.  Each path therefore folds the wrap-around exactly before
-    its one reduction mod p.  The Kronecker path folds the packed
-    product itself: with w-byte digits, t^n - 1 becomes 2^(8wn) - 1, so
-    the high half is added onto the low half, and the digits of the sum
-    are the cyclic coefficients, each still below 256^w.  A square
-    (a is b) packs once, and CPython squares a big integer faster than
-    it multiplies two.
+    fits and Python ints beyond, so the ring is exact at any p.
+
+    Coefficient k of the cyclic product is the sum of a_i b_j over
+    i + j = k (mod n).  For each i at most one j < len(b) <= n is in
+    that class, and symmetrically, so every coefficient is a sum of at
+    most min(la, lb) products of size (p-1)^2: the bound of `mul_mod`.
+    Both paths therefore fold the wrap-around exactly before their one
+    reduction mod p.  The Kronecker path folds the packed product
+    itself: with w-byte digits, t^n - 1 becomes 2^(8wn) - 1, so the high
+    half is added onto the low half, and the digits of the sum are the
+    cyclic coefficients, each still below 256^w.  A square (a is b)
+    packs once, and CPython squares a big integer faster than it
+    multiplies two.
     """
     square = a is b
     dtype = cyclic_dtype(p)
@@ -185,11 +191,6 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     la, lb = len(a), len(b)
     if not (0 < la <= n and 0 < lb <= n):
         raise ValueError(f"operand lengths {la}, {lb} outside 1..{n}")
-    if la <= _TINY and lb <= _TINY:
-        folded = [0] * n
-        for k, c in enumerate(_mul_school(a.tolist(), b.tolist())):
-            folded[k % n] += c
-        return np.array([c % p for c in folded], dtype=dtype)
     short = min(la, lb)
     if short <= _KRONECKER_CUTOFF and short * (p - 1) * (p - 1) < _I64_SAFE:
         raw = np.convolve(a, b)
@@ -345,24 +346,23 @@ def gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     """Monic gcd over F_p (the zero polynomial for gcd(0, 0))."""
     a, b = trim(a), trim(b)
     if (
-        len(a) > _GCD_INPLACE
-        and len(b) > _GCD_INPLACE
+        len(a) > _DIV_SHORT
+        and len(b) > _DIV_SHORT
         and max(len(a), len(b)) * (p - 1) * (p - 1) + p < _I64_SAFE
     ):
-        return _gcd_mod_inplace(a, b, p)
-    while b:
-        _, r = divrem_mod(a, b, p)
-        a, b = b, r
-    if not a:
-        return []
-    if a[-1] != 1:
+        a = _gcd_mod_inplace(a, b, p)
+    else:
+        while b:
+            _, r = divrem_mod(a, b, p)
+            a, b = b, r
+    if a and a[-1] != 1:
         inv = pow(a[-1], p - 2, p)
         a = [(c * inv) % p for c in a]
     return a
 
 
 def _gcd_mod_inplace(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    """Euclid on int64 arrays held across steps; no per-step reallocation.
+    """A gcd, not yet monic, by Euclid on int64 arrays held across steps.
 
     Each division reduces lazily, as in `divrem_mod`: its steps are
     fewer than max(len(a), len(b)), which the caller's bound covers,
@@ -389,10 +389,4 @@ def _gcd_mod_inplace(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
                 da -= 1
         np.remainder(ra[: da + 1], p, out=ra[: da + 1])
         ra, rb, da, db = rb, ra, db, da
-    if da < 0:
-        return []
-    out = ra[: da + 1].tolist()
-    if out[-1] != 1:
-        inv = pow(out[-1], p - 2, p)
-        out = [(c * inv) % p for c in out]
-    return out
+    return ra[: da + 1].tolist()

@@ -18,8 +18,10 @@ IntPoly((-1, 2))
 >>> str(f.canonical())
 '-1 + 2*t'
 
-Coefficients are exact Python integers; the heavy lifting is delegated
-to the kernel helpers which pick numpy or big-integer paths safely.
+Coefficients are exact Python integers.  Products over Z, and products,
+division and gcd over F_p, go through `_kernels`, which picks a route
+from the operand lengths and a worst-case int64 bound; exact division
+over Z is a plain Python loop.
 """
 
 from __future__ import annotations
@@ -180,9 +182,6 @@ class IntPoly:
             raise ExactDivisionError("degree of denominator exceeds numerator")
         lead = dc[-1]
         q = [0] * (n - m + 1)
-        use_np = _np_div_safe(num, dc)
-        if use_np:
-            return self._exact_div_np(den)
         for i in range(n - m, -1, -1):
             c = num[i + m]
             if c % lead:
@@ -196,42 +195,9 @@ class IntPoly:
             raise ExactDivisionError("division leaves a remainder")
         return IntPoly(q)
 
-    def _exact_div_np(self, den: "IntPoly") -> "IntPoly":
-        import numpy as np
-
-        num = np.asarray(self.coeffs, dtype=np.int64)
-        dc = np.asarray(den.coeffs, dtype=np.int64)
-        m = len(dc) - 1
-        n = len(num) - 1
-        lead = int(dc[-1])
-        q = [0] * (n - m + 1)
-        for i in range(n - m, -1, -1):
-            c = int(num[i + m])
-            if c % lead:
-                raise ExactDivisionError("division is not exact over Z")
-            c //= lead
-            q[i] = c
-            if c:
-                num[i : i + m + 1] -= c * dc
-        if np.any(num[:m]):
-            raise ExactDivisionError("division leaves a remainder")
-        return IntPoly(q)
-
     def reduce_mod(self, p: int) -> "ModPoly":
         """Coefficientwise reduction mod p, then monic canonicalization."""
         return ModPoly(p, [c % p for c in self.coeffs]).canonical()
-
-
-def _np_div_safe(num, den) -> bool:
-    # int64 is safe while every intermediate stays small; exact division of
-    # cyclotomic-flavoured inputs keeps coefficients tiny, but guard anyway.
-    bound = 1 << 40
-    return (
-        len(num) > 128
-        and max(abs(c) for c in num) < bound
-        and max(abs(c) for c in den) < bound
-        and abs(den[-1]) == 1
-    )
 
 
 _checked_moduli = set()

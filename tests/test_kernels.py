@@ -135,7 +135,7 @@ def test_mul_mod_packs_past_the_int64_bound_at_any_length(monkeypatch):
     assert len(packed) == 5
 
 
-# operand lengths past the schoolbook cutoff, for the cyclic product
+# operand lengths for the cyclic product's packed-width cases
 CYCLIC_WIDTH_LENGTHS = (_k._TINY + 1, 8, 64, 300)
 
 
@@ -453,21 +453,27 @@ def test_divrem_short_dividend_and_zero_divisor():
 # gcd
 
 
-@pytest.mark.parametrize("n", [_k._GCD_INPLACE, _k._GCD_INPLACE + 1, 2 * _k._GCD_INPLACE])
-@pytest.mark.parametrize("p", [2, 97, 65521, P31])
-def test_gcd_at_the_inplace_cutoff(n, p):
+@pytest.mark.parametrize("n", [_k._DIV_SHORT, _k._DIV_SHORT + 1, _k._DIV_SHORT + 2, 128, 129, 256])
+@pytest.mark.parametrize("p", [2, 97, 65521, P31, M61])
+def test_gcd_at_the_inplace_cutoff(n, p, monkeypatch):
+    """Euclid in place once both inputs pass `_DIV_SHORT` under the int64
+    bound, repeated `divrem_mod` otherwise (M61 never meets the bound)."""
+    divisions = spy(monkeypatch, "divrem_mod")
     rng = random.Random(n + p)
-    g = vec(rng, 17, p, top=1)
-    u = vec(rng, n - 16, p)
-    v = vec(rng, n - 15, p)
+    k = min(17, n // 2)
+    g = vec(rng, k, p, top=1)
+    u = vec(rng, n - k + 1, p)
+    v = vec(rng, n - k + 2, p)
     a, b = ref_mul_mod(g, u, p), ref_mul_mod(g, v, p)
-    got = _k.gcd_mod(a, b, p)
-    assert got == ref_gcd(a, b, p)
-    assert got == _k.gcd_mod(b, a, p)
-    assert len(got) >= 17
-    # coprime inputs of the same lengths
-    a, b = vec(rng, n, p), vec(rng, n + 1, p)
-    assert _k.gcd_mod(a, b, p) == ref_gcd(a, b, p)
+    coprime = vec(rng, n, p), vec(rng, n + 1, p)
+    for x, y in ((a, b), (b, a), coprime):
+        del divisions[:]
+        got = _k.gcd_mod(x, y, p)
+        assert got == ref_gcd(x, y, p)
+        inplace = (min(len(x), len(y)) > _k._DIV_SHORT
+                   and max(len(x), len(y)) * (p - 1) ** 2 + p < _k._I64_SAFE)
+        assert (len(divisions) == 0) == inplace
+    assert len(_k.gcd_mod(a, b, p)) >= k
 
 
 def test_gcd_of_zeros_and_units():
@@ -538,7 +544,7 @@ def test_mul_cyclic_mod_at_the_path_cutoffs(p, la, lb, n, monkeypatch):
     for x, y in ((a, b), (b, a), ([p - 1] * la, [p - 1] * lb)):
         del school[:], packed[:]
         got = _k.mul_cyclic_mod(x, y, n, p).tolist()
-        assert len(school) == (la <= _k._TINY and lb <= _k._TINY)
+        assert not school
         assert len(packed) == 2 * (min(la, lb) > _k._KRONECKER_CUTOFF)
         assert got == folded_mul_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
 
@@ -569,8 +575,7 @@ def test_mul_cyclic_mod_at_each_packed_width(width, monkeypatch):
         for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
             del packed[:]
             assert _k.mul_cyclic_mod(x, y, n, p).tolist() == ref_cyclic(x, y, n, p)
-            tiny = la <= _k._TINY and lb <= _k._TINY
-            assert [w for _, w in packed] == [_k._width(min(la, lb) * (p - 1) ** 2)] * 2 * (not tiny)
+            assert [w for _, w in packed] == [_k._width(min(la, lb) * (p - 1) ** 2)] * 2
             if la == lb == n:
                 assert packed[0][1] == width
 
@@ -626,8 +631,7 @@ def test_mul_cyclic_mod_on_int64_arrays_and_squares(n, p, monkeypatch):
         got = _k.mul_cyclic_mod(u, v, n, p)
         short = min(len(u), len(v))
         int64 = short <= _k._KRONECKER_CUTOFF and short * (p - 1) ** 2 < _k._I64_SAFE
-        tiny = len(u) <= _k._TINY and len(v) <= _k._TINY
-        assert len(packed) == packs * (not tiny and not int64)
+        assert len(packed) == packs * (not int64)
         assert got.dtype == np.int64 and got.shape == (n,)
         assert got.tolist() == folded_mul_mod(u.tolist(), v.tolist(), n, p)
         assert (u == before[0]).all() and (v == before[1]).all()

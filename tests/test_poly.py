@@ -92,6 +92,17 @@ def test_exact_div_product_of_binomial_pluses():
 def test_exact_div_rejects_inexact():
     with pytest.raises(ExactDivisionError):
         IntPoly([1, 0, 1]).exact_div(IntPoly([1, 1]))
+    # 3t / 2t: the leading coefficients do not divide, and nothing is left
+    # below the divisor's degree for the remainder check to see
+    with pytest.raises(ExactDivisionError):
+        IntPoly([0, 3]).exact_div(IntPoly([0, 2]))
+
+
+def test_exact_div_rejects_a_quotient_past_int64():
+    # t^129 = (t - 2^39) * sum 2^(39k) t^(128-k) + 2^(39*129): a nonzero
+    # remainder, and quotient coefficients past int64 from k = 2 on
+    with pytest.raises(ExactDivisionError):
+        IntPoly([0] * 129 + [1]).exact_div(IntPoly([-(2**39), 1]))
 
 
 def test_exact_div_random_roundtrip():
@@ -102,6 +113,21 @@ def test_exact_div_random_roundtrip():
         if f.is_zero() or g.is_zero():
             continue
         assert (f * g).exact_div(g) == f
+    # dividends of 129 to 600 coefficients of both signs, with coefficients
+    # up to 2^40 in size, over monic and non-monic divisors of degree 8
+    for length in (129, 130, 257, 600):
+        for height in (6, 1 << 20, 1 << 40):
+            f = IntPoly([rng.randint(-height, height) for _ in range(length - 9)] + [height])
+            g = IntPoly([rng.randint(-height, height) for _ in range(8)] + [rng.choice((-1, 1))])
+            h = IntPoly([rng.randint(-height, height) for _ in range(8)] + [-height])
+            for den in (g, h):
+                num = f * den
+                assert len(num.coeffs) == length
+                assert num.exact_div(den) == f
+                # off by one in the constant and in the leading coefficient
+                for bump in (IntPoly([1]), IntPoly([1]).shift(num.degree)):
+                    with pytest.raises(ExactDivisionError):
+                        (num + bump).exact_div(den)
 
 
 def test_divrem_monomials():
