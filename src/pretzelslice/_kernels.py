@@ -14,11 +14,11 @@ Which path a call takes depends on the operand lengths:
   int64 bound fails); the product in the cyclic ring F_p[t]/(t^n - 1)
   takes the last two only, arrays in and an array out (int64 for
   p < 2^63, Python ints beyond), and folds before it reduces;
-* division: a plain Python loop for divisors of degree below
-  `_DIV_SHORT` or when the int64 bound fails; otherwise an int64 loop
-  in place for quotients shorter than `_newton_min(p)`, and for longer
-  ones a reciprocal by Newton iteration, with every product through
-  `mul_mod`;
+* division: a reciprocal by Newton iteration, with every product
+  through `mul_mod`, once the divisor has degree at least `_DIV_SHORT`
+  and the quotient at least `_NEWTON_MIN` coefficients; a plain Python
+  loop otherwise.  The choice looks at the shapes only, since both
+  routes are exact at any p;
 * gcd: Euclid on int64 arrays held across steps once both inputs have
   more than `_DIV_SHORT` coefficients and the int64 bound holds,
   repeated `divrem_mod` otherwise.
@@ -48,35 +48,23 @@ _TINY = 5
 # (256 x 256: 53 convolve, 58 packed; 384 x 384: 98 and 90; 4096 x 128:
 # 613 and 744; 4096 x 256: 1099 and 953).
 _KRONECKER_CUTOFF = 256
-# Divisors of lower degree divide faster in the plain Python loop than in
-# the int64 one (48 quotient steps by degree 12: 89 against 155; by degree
-# 64: 330 against 153).  `gcd_mod` runs Euclid in place once both inputs
-# are longer than this (with a common factor, p = 97: 41 coefficients 326
-# against 476 by repeated division, 161: 712 against 2889; 16: 120 against
-# 89).  Both break even higher: gcd near 20 coefficients, division between
-# degrees 24 and 32 (BENCH_11.json).
+# `gcd_mod` runs Euclid in place once both inputs are longer than this
+# (with a common factor, p = 97: 41 coefficients 326 against 476 by
+# repeated division, 161: 712 against 2889; 16: 120 against 89); it
+# breaks even near 20 coefficients (BENCH_11.json).
 _DIV_SHORT = 16
-# Quotients of at least `_newton_min(p)` coefficients come from a
-# reciprocal (Newton iteration) instead of the int64 loop, at any divisor
-# degree the int64 loop takes.  The loop skips its zero quotient
-# coefficients, a 1/p share of them, so it holds out longest at small p.
-# Loop time over reciprocal time on random divisions, two runs (BENCH_10.json
-# revision_2.divrem_cutoff_by_p), at divisor degrees 16, 48, 128 and 484:
-#   p = 2,  128 steps: 1.09 1.05 1.00 0.87 | 0.99 0.96 0.63 0.73
-#           192 steps: 1.27 1.14 1.02 1.01 | 1.08 1.10 0.96 1.01
-#   p = 3,   64 steps: 1.10 1.06 1.09 0.83 | 1.41 0.89 0.89 0.81
-#            96 steps: 1.32 1.12 1.00 0.96 | 1.03 1.02 0.99 1.07
-#   p = 5,   48 steps: 0.99 0.96 1.00 0.87 | 0.93 0.82 1.02 0.83
-#            64 steps: 1.38 1.21 1.22 1.03 | 1.11 1.02 0.95 0.88
-#   p = 97,  48 steps: 1.19 1.13 1.05 0.99 | 1.17 1.12 1.02 0.84
-#            64 steps: 1.44 1.36 1.20 1.05 | 1.41 1.35 1.20 1.15
-_NEWTON_MIN = 64
-_NEWTON_MIN_SMALL_P = {2: 192, 3: 96}
-
-
-def _newton_min(p: int) -> int:
-    """Quotient length from which `divrem_mod` divides by a reciprocal."""
-    return _NEWTON_MIN_SMALL_P.get(p, _NEWTON_MIN)
+# `divrem_mod` divides by a reciprocal once the divisor has degree at
+# least _DIV_SHORT and the quotient at least _NEWTON_MIN coefficients.
+# Loop time over reciprocal time on random divisions at 32 steps, two
+# runs, divisor degrees 16, 48, 128 and 484 (BENCH_15.json):
+#   p = 2:     0.36 0.92 1.24 2.24 | 0.38 0.90 1.74 3.47
+#   p = 97:    0.75 1.04 5.57 13.5 | 0.75 1.56 3.46 8.75
+#   p = 65521: 0.89 2.11 4.49 10.7 | 0.89 1.97 3.94 11.0
+# The loop wins at low degree, the reciprocal from degree 48 or so.  On
+# the division calls of one oracle_grid pass, replayed (seed 3, 9266
+# calls, ms), the cutoff reads 16: 635, 24: 621, 32: 620, 48: 627, 64:
+# 650, 96: 727.
+_NEWTON_MIN = 32
 
 
 def cyclic_dtype(p: int):
@@ -253,14 +241,11 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
 
     `b` must be nonzero (trimmed).  Returns trimmed lists.
 
-    Both loops reduce lazily: the leading entry is reduced when its
-    quotient coefficient is read off, the others only once, in the
-    remainder.  Each entry takes at most one subtraction of c * b_j
-    <= (p-1)^2 per quotient step, so after `steps` of them it stays
-    below steps * (p-1)^2 + p in size; the int64 loop needs that
-    bound under 2^62.  Where that bound holds and the quotient has at
-    least `_newton_min(p)` coefficients, `_divrem_newton` takes the
-    place of the int64 loop.
+    A divisor of degree at least `_DIV_SHORT` with a quotient of at
+    least `_NEWTON_MIN` coefficients goes to `_divrem_newton`; every
+    other division runs the loop below on Python ints.  The loop
+    reduces lazily: the leading entry is reduced when its quotient
+    coefficient is read off, the others only once, in the remainder.
     """
     b = trim(b)
     if not b:
@@ -270,31 +255,19 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
     steps = len(a) - m
     if steps <= 0:
         return [], a
+    if m >= _DIV_SHORT and steps >= _NEWTON_MIN:
+        return _divrem_newton(a, b, p)
     inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
     q = [0] * steps
-    if m < _DIV_SHORT or steps * (p - 1) * (p - 1) + p >= _I64_SAFE:
-        r = list(a)
-        low = b[:m]
-        for i in range(steps - 1, -1, -1):
-            c = (r[i + m] * inv_lead) % p
-            q[i] = c
-            if c:
-                for j, y in enumerate(low, i):
-                    r[j] -= c * y
-        return q, trim([x % p for x in r[:m]])
-    if steps >= _newton_min(p):
-        return _divrem_newton(a, b, p)
-    rv = np.array(a, dtype=np.int64)
-    bv = np.array(b[:m], dtype=np.int64)
-    prod = np.empty(m, dtype=np.int64)
+    r = list(a)
+    low = b[:m]
     for i in range(steps - 1, -1, -1):
-        c = (rv.item(i + m) * inv_lead) % p
+        c = (r[i + m] * inv_lead) % p
         q[i] = c
         if c:
-            seg = rv[i : i + m]
-            np.multiply(bv, c, out=prod)
-            np.subtract(seg, prod, out=seg)
-    return q, trim((rv[:m] % p).tolist())
+            for j, y in enumerate(low, i):
+                r[j] -= c * y
+    return q, trim([x % p for x in r[:m]])
 
 
 def _reciprocal(f: Sequence[int], k: int, p: int) -> List[int]:
@@ -328,18 +301,15 @@ def _divrem_newton(a: List[int], b: List[int], p: int):
     b's unit leading coefficient, so rev(q) = rev(a) / rev(b) mod
     t^steps: one `_reciprocal` and one product.  Then r = a - q b, of
     which only the m low coefficients are nonzero.  Every product goes
-    through `mul_mod`, and the shorter operand of each has at most
-    `steps` coefficients, so where `divrem_mod` sends a division here
-    (steps * (p-1)^2 + p < 2^62) each takes the int64 convolution up
-    to `_KRONECKER_CUTOFF` coefficients.
+    through `mul_mod`, exact at any p, and the subtraction runs on
+    Python ints, so this route needs no bound on p.
     """
     m = len(b) - 1
     steps = len(a) - m
     g = _reciprocal(b[::-1], steps, p)
     q = mul_mod(a[m:][::-1], g, p)[steps - 1 :: -1]
-    low = mul_mod(q[:m], b[:m], p)[:m]
-    r = (np.array(a[:m], dtype=np.int64) - np.array(low, dtype=np.int64)) % p
-    return q, trim(r.tolist())
+    low = mul_mod(q[:m], b[:m], p)
+    return q, trim([(x - y) % p for x, y in zip(a[:m], low)])
 
 
 def gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:

@@ -79,7 +79,9 @@ def load_config() -> Config:
         if key in data:
             setattr(cfg, key, _config_int(key, data[key]))
     if "out" in data:
-        cfg.out = str(data["out"])
+        if not isinstance(data["out"], str):
+            raise ValueError(f"config key 'out' must be a string, got {data['out']!r}")
+        cfg.out = data["out"]
     return cfg
 
 

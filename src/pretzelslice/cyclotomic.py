@@ -25,7 +25,7 @@ on `cyclotomic.count_irreducible_factors` reaches every caller.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import functools
 
 from . import factor as _factor
 from . import numth
@@ -38,8 +38,6 @@ from .numth import (  # re-exported, see above
 )
 from .poly import IntPoly, ModPoly, reduce_mod
 
-_MEMO: Dict[int, IntPoly] = {}
-
 
 def _subst_pow(f: IntPoly, k: int) -> IntPoly:
     """f(t^k)."""
@@ -51,6 +49,7 @@ def _subst_pow(f: IntPoly, k: int) -> IntPoly:
     return IntPoly(out)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)  # bounded memo; typed, so 7.0 still raises
 def cyclotomic_poly(d: int) -> IntPoly:
     """The d-th cyclotomic polynomial over the integers, memoized.
 
@@ -68,17 +67,12 @@ def cyclotomic_poly(d: int) -> IntPoly:
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    got = _MEMO.get(d)
-    if got is not None:
-        return got
     f = IntPoly((-1, 1))
     rad = 1
     for q in numth.factorize(d).primes:
         f = _subst_pow(f, q).exact_div(f)
         rad *= q
-    f = _subst_pow(f, d // rad)
-    _MEMO[d] = f
-    return f
+    return _subst_pow(f, d // rad)
 
 
 def reduced(q: CyclotomicQuery) -> ModPoly:
@@ -89,10 +83,9 @@ def reduced(q: CyclotomicQuery) -> ModPoly:
 # ---------------------------------------------------------------------------
 # oracle routes: answer the same questions by actually factoring
 
-_ORACLE_MEMO: Dict[Tuple[int, int, int], _factor.FactorMultiset] = {}
-_SEARCH_MEMO: Dict[Tuple[int, int, int, int], _factor.SelfReciprocalSearch] = {}
-
-
+# bounded memo large enough for the whole acceptance grid (2326 pairs),
+# which criteria 4 and 5 walk one after the other
+@functools.lru_cache(maxsize=4096)
 def factor_cyclotomic_oracle(
     q: CyclotomicQuery, seed: int = _factor.DEFAULT_SEED
 ) -> _factor.FactorMultiset:
@@ -102,15 +95,10 @@ def factor_cyclotomic_oracle(
     violations raise, since they would falsify the closed-form counts
     this oracle exists to confirm.
     """
-    key = (q.d, q.p, seed)
-    got = _ORACLE_MEMO.get(key)
-    if got is not None:
-        return got
     ms = _factor.factor_cyclic(reduced(q), q.d, seed)
     order = numth.mult_order(q.p, q.d)
     if any(m != 1 or g.degree != order for g, m in ms):  # pragma: no cover
         raise ArithmeticError(f"unexpected factor shape for {q}")
-    _ORACLE_MEMO[key] = ms
     return ms
 
 
@@ -129,6 +117,7 @@ def factor_count_oracle(q: CyclotomicQuery) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=1024)
 def self_reciprocal_factor_oracle(
     q: CyclotomicQuery,
     seed: int = _factor.DEFAULT_SEED,
@@ -140,10 +129,4 @@ def self_reciprocal_factor_oracle(
     for g dividing p^m + 1) and, when extraction is affordable, an
     explicit irreducible self-reciprocal factor.
     """
-    key = (q.d, q.p, seed, exhibit_cap)
-    got = _SEARCH_MEMO.get(key)
-    if got is not None:
-        return got
-    out = _factor.self_reciprocal_search(reduced(q), q.d, seed, exhibit_cap)
-    _SEARCH_MEMO[key] = out
-    return out
+    return _factor.self_reciprocal_search(reduced(q), q.d, seed, exhibit_cap)

@@ -20,8 +20,8 @@ IntPoly((-1, 2))
 
 Coefficients are exact Python integers.  Products over Z, and products,
 division and gcd over F_p, go through `_kernels`, which picks a route
-from the operand lengths and a worst-case int64 bound; exact division
-over Z is a plain Python loop.
+from the operand lengths (and, for products and gcd, a worst-case int64
+bound); exact division over Z is a plain Python loop.
 """
 
 from __future__ import annotations

@@ -248,6 +248,13 @@ def test_bad_config_file(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, "check", "3")
         assert code == 2 and "unknown config key" in err, bad
         assert all(name in err for name in names), err
+    # a non-string out is named, not turned into a file name
+    monkeypatch.chdir(tmp_path)
+    for bad, argv in (({"out": None}, ("scan", "3", "21")), ({"out": 5}, ("check", "3"))):
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "bad config" in err and "'out'" in err, bad
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"], bad
     cfg.write_text(json.dumps({"jobs": 2, "seed": "7", "max_a": 999, "out": "x"}))
     assert cli.load_config() == cli.Config(max_a=999, seed=7, jobs=2, out="x")
 

@@ -1,9 +1,10 @@
 """Coefficient kernels against a schoolbook reference, at every path boundary.
 
-Each kernel picks its path from the operand lengths and a worst-case
-int64 bound (see the `_kernels` module docstring).  These tests sit on
-both sides of every cutoff and of every bound, and compare with plain
-Python arithmetic that shares no code with the kernels.
+Each kernel picks its path from the operand lengths and, for products
+and gcd, a worst-case int64 bound (see the `_kernels` module docstring).
+These tests sit on both sides of every cutoff and of every bound, and
+compare with plain Python arithmetic that shares no code with the
+kernels.
 """
 
 import random
@@ -224,13 +225,14 @@ def _check_divrem(a, b, p):
 @pytest.mark.parametrize("steps", [1, 2, 64, 300])
 @pytest.mark.parametrize("p", [2, 97, 65521])
 def test_divrem_at_the_divisor_degree_cutoff(m, steps, p, monkeypatch):
+    newton = spy(monkeypatch, "_divrem_newton")
     rng = random.Random(m * 1000 + steps + p)
     b = vec(rng, m + 1, p)
     a = vec(rng, m + steps, p)
     for divisor in (b, b[:-1] + [1]):
-        got, used = in_int64(monkeypatch, _k.divrem_mod, a, divisor, p)
-        assert used == (m >= _k._DIV_SHORT)
-        assert got == ref_divrem(a, divisor, p)
+        del newton[:]
+        assert _k.divrem_mod(a, divisor, p) == ref_divrem(a, divisor, p)
+        assert len(newton) == newton_taken(m, steps)
     a, b = worst_division(p, m, steps)
     _check_divrem(a, b, p)
 
@@ -241,29 +243,6 @@ def _prime_at_or_below(n):
     while not numth.is_prime(n):
         n -= 1
     return n
-
-
-class NumpyCounter:
-    """numpy, counting `np.array` calls: the int64 division loop makes two."""
-
-    def __init__(self):
-        self.arrays = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def array(self, *args, **kwargs):
-        self.arrays += 1
-        return np.array(*args, **kwargs)
-
-
-def in_int64(monkeypatch, fn, *args):
-    """fn(*args) and whether it built int64 arrays in `_kernels`."""
-    counter = NumpyCounter()
-    monkeypatch.setattr(_k, "np", counter)
-    out = fn(*args)
-    monkeypatch.setattr(_k, "np", np)
-    return out, counter.arrays > 0
 
 
 def worst_division(p, m, steps):
@@ -277,22 +256,28 @@ def worst_division(p, m, steps):
 
 @pytest.mark.parametrize("p_bits", [26, 28, 30])
 def test_divrem_at_the_int64_step_bound(p_bits, monkeypatch):
+    """The longest division whose lazily reduced entries stay below 2^62,
+    and one step more.
+
+    Division checks no such bound: the loop runs on Python ints and the
+    reciprocal's products go through `mul_mod`, so both sides take the
+    route their shape gives (the loop at 2^30, the reciprocal below).
+    """
+    newton = spy(monkeypatch, "_divrem_newton")
     p = _prime_at_or_below(1 << p_bits)
-    # the longest division the int64 loop takes, and one step more
     most = (_k._I64_SAFE - p - 1) // ((p - 1) ** 2)
     assert most * (p - 1) ** 2 + p < _k._I64_SAFE <= (most + 1) * (p - 1) ** 2 + p
     m = max(_k._DIV_SHORT, most + 1)
     rng = random.Random(p)
-    for steps, int64 in ((most, True), (most + 1, False)):
+    for steps in (most, most + 1):
+        del newton[:]
         a, b = worst_division(p, m, steps)
-        (q, r), used = in_int64(monkeypatch, _k.divrem_mod, a, b, p)
-        assert used == int64
+        q, r = _k.divrem_mod(a, b, p)
         assert q == [p - 1] * steps
         assert (q, r) == ref_divrem(a, b, p)
         a, b = vec(rng, m + steps, p), vec(rng, m + 1, p)
-        got, used = in_int64(monkeypatch, _k.divrem_mod, a, b, p)
-        assert used == int64
-        assert got == ref_divrem(a, b, p)
+        assert _k.divrem_mod(a, b, p) == ref_divrem(a, b, p)
+        assert len(newton) == 2 * newton_taken(m, steps)
 
 
 def test_divrem_with_moduli_past_int64():
@@ -309,25 +294,21 @@ def test_divrem_with_moduli_past_int64():
 NEWTON_PRIMES = (2, 3, 97, M61, (1 << 89) - 1)
 
 
-def newton_taken(m, steps, p):
+def newton_taken(m, steps):
     """Whether `divrem_mod` should divide by a reciprocal (its docstring)."""
-    in_int64 = m >= _k._DIV_SHORT and steps * (p - 1) ** 2 + p < _k._I64_SAFE
-    return in_int64 and steps >= _k._newton_min(p)
+    return m >= _k._DIV_SHORT and steps >= _k._NEWTON_MIN
 
 
-def test_newton_cutoff_is_higher_at_small_p():
-    # the loop skips zero quotient coefficients, a 1/p share of them
-    assert _k._newton_min(2) > _k._newton_min(3) > _k._newton_min(5) == _k._NEWTON_MIN
-    assert all(_k._newton_min(p) == _k._NEWTON_MIN for p in PRIMES[2:] + NEWTON_PRIMES[2:])
-
-
-# (divisor degree, quotient length) around the cutoff c = _newton_min(p)
+# (divisor degree, quotient length) around the cutoffs c = _NEWTON_MIN and
+# short = _DIV_SHORT; the four "short" corners straddle both at once
 NEWTON_SHAPES = {
     "c-1/c": lambda c: (c - 1, c),
     "c/c": lambda c: (c, c),
     "c/c-1": lambda c: (c, c - 1),
     "c-1/c-1": lambda c: (c - 1, c - 1),
+    "short-1/c-1": lambda c: (_k._DIV_SHORT - 1, c - 1),
     "short-1/c": lambda c: (_k._DIV_SHORT - 1, c),
+    "short/c-1": lambda c: (_k._DIV_SHORT, c - 1),
     "short/c": lambda c: (_k._DIV_SHORT, c),
     "short/3c": lambda c: (_k._DIV_SHORT, 3 * c),
     "3c/c": lambda c: (3 * c, c),
@@ -337,7 +318,7 @@ NEWTON_SHAPES = {
 @pytest.mark.parametrize("p", NEWTON_PRIMES)
 @pytest.mark.parametrize("shape", list(NEWTON_SHAPES))
 def test_divrem_at_the_newton_cutoff(p, shape, monkeypatch):
-    m, steps = NEWTON_SHAPES[shape](_k._newton_min(p))
+    m, steps = NEWTON_SHAPES[shape](_k._NEWTON_MIN)
     newton = spy(monkeypatch, "_divrem_newton")
     rng = random.Random(m * 1000 + steps + p % 1000)
     b = vec(rng, m + 1, p)
@@ -346,7 +327,7 @@ def test_divrem_at_the_newton_cutoff(p, shape, monkeypatch):
     for a, divisor in cases:
         del newton[:]
         assert _k.divrem_mod(a, divisor, p) == ref_divrem(a, divisor, p)
-        assert len(newton) == newton_taken(m, steps, p)
+        assert len(newton) == newton_taken(m, steps)
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
@@ -365,27 +346,29 @@ def test_divrem_newton_with_quotients_past_the_kronecker_cutoff(p, m, steps, mon
 
 @pytest.mark.parametrize("p_bits", [26, 27])
 def test_divrem_newton_at_the_int64_step_bound(p_bits, monkeypatch):
-    """At the longest quotient the int64 loop could take, and one past it.
+    """At the longest quotient whose products all meet the int64 bound,
+    and one past it.
 
     Every product of the reciprocal path has a shorter operand of at
-    most `steps` coefficients, so the division bound covers them all:
-    at 2^27 the longest quotient is 256 = `_KRONECKER_CUTOFF`, and every
-    product convolves in int64; at 2^26 it is 1024, and the long ones
-    pack.
+    most `steps` coefficients, so at `most` steps the bound covers them
+    all: at 2^27 `most` is 256 = `_KRONECKER_CUTOFF`, and every product
+    convolves in int64; at 2^26 it is 1024, and the long ones pack.  One
+    step more, the product with rev(a) has `most` + 1 coefficients on
+    both sides and packs, exact, at either prime.
     """
     newton = spy(monkeypatch, "_divrem_newton")
     packed = spy(monkeypatch, "_mul_kronecker_mod")
     p = _prime_at_or_below(1 << p_bits)
     most = (_k._I64_SAFE - p - 1) // ((p - 1) ** 2)
-    assert most >= _k._newton_min(p)
-    for steps, taken in ((most, True), (most + 1, False)):
+    assert most >= _k._NEWTON_MIN
+    for steps in (most, most + 1):
         del newton[:], packed[:]
         a, b = worst_division(p, most + 1, steps)
         q, r = _k.divrem_mod(a, b, p)
         assert q == [p - 1] * steps
         assert (q, r) == ref_divrem(a, b, p)
-        assert len(newton) == taken
-        assert bool(packed) == (taken and most > _k._KRONECKER_CUTOFF)
+        assert len(newton) == 1
+        assert bool(packed) == (steps > most or most > _k._KRONECKER_CUTOFF)
 
 
 # the division bound for P_MID: 115 steps * (P_MID - 1)^2 + P_MID < 2^62
@@ -394,12 +377,13 @@ LAST_I64_DIV = 115
 
 @pytest.mark.parametrize("steps", [LAST_I64_DIV, LAST_I64_DIV + 1])
 def test_divrem_newton_products_at_the_int64_bound(steps, monkeypatch):
-    """P_MID puts the division bound at 115 steps, below the Kronecker cutoff.
+    """P_MID puts the int64 bound at 115 steps, below the Kronecker cutoff.
 
     With divisors longer than the quotient, the quotient and the divisor
     are all p - 1, so the product q * b reaches 115 (p-1)^2 at 115 steps,
     where every product of the reciprocal path convolves in int64; at
-    116 the division leaves the int64 regime for the Python loop.
+    116 the products with `steps` coefficients on both sides pack, and
+    the division still takes the reciprocal.
     """
     p = P_MID
     assert LAST_I64_DIV * (p - 1) ** 2 + p < _k._I64_SAFE <= (LAST_I64_DIV + 1) * (p - 1) ** 2 + p
@@ -411,11 +395,11 @@ def test_divrem_newton_products_at_the_int64_bound(steps, monkeypatch):
         assert q == [p - 1] * steps
         assert (q, r) == ref_divrem(a, b, p)
     rng = random.Random(steps)
-    cut = _k._newton_min(p)
+    cut = _k._NEWTON_MIN
     a, b = vec(rng, cut + steps, p), vec(rng, cut + 1, p)
     assert _k.divrem_mod(a, b, p) == ref_divrem(a, b, p)
-    assert len(newton) == 3 * (steps <= LAST_I64_DIV)
-    assert not packed
+    assert len(newton) == 3
+    assert bool(packed) == (steps > LAST_I64_DIV)
 
 
 def ref_inverse_series(f, k, p):
