@@ -49,13 +49,13 @@ class Config:
 
 
 def _config_int(key: str, value) -> int:
-    # bool is an int subclass and int() truncates floats and parses strings;
-    # accept only a JSON integer or a string of decimal digits
+    # bool is an int subclass, int() truncates floats, and int(str) also
+    # takes "1_0", " 1" and non-ASCII digits; accept only a JSON integer or
+    # an optional "-" followed by ASCII decimal digits
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
+        digits = value[1:] if value.startswith("-") else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
     elif isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"config key {key!r} must be an integer, got {value!r}")

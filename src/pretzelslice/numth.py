@@ -140,6 +140,16 @@ def _brent(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 1.
 
+    Trial division walks the sieve primes q ascending, dividing each
+    out of the cofactor m, and stops at the first q with q*q > m.
+    Then m is 1 or prime, so it is recorded without a primality test.
+    Proof: every prime below q has been divided out of m, so each
+    prime factor of m is at least q.  A composite m would have two of
+    them, so m >= q*q, a contradiction.  Only when the sieve runs out
+    (every q up to 65521 has q*q <= m, so n >= 65521^2, close to 2^32)
+    may the cofactor be composite; `is_prime` and Brent's method
+    finish it.
+
     >>> factorize(63).pairs
     ((3, 2), (7, 1))
     """
@@ -148,13 +158,17 @@ def factorize(n: int) -> Factorization:
     if n >= _LIMIT:
         raise ValueError("factorize is limited to n < 2^64")
     found = {}
+    stack = []
     for q in _sieve():
         if q * q > n:
             break
         while n % q == 0:
             found[q] = found.get(q, 0) + 1
             n //= q
-    stack = [n] if n > 1 else []
+    else:
+        stack, n = [n], 1  # the sieve ran out: the cofactor may be composite
+    if n > 1:
+        found[n] = 1  # prime, by the exit proof above
     while stack:
         m = stack.pop()
         if m == 1:

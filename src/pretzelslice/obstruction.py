@@ -11,6 +11,13 @@ pair passes, the mod-p Fox-Milnor test is silent too: by Lemma (b)
 the same question the pairs already answered, and the verdict is
 Inconclusive.
 
+The walk is lazy: `decide` consumes the generator `iter_witness_pairs`
+and stops at the first failure, so the pairs past it are never made,
+and a+2 is factored only if the walk reaches its divisors.  Whether a
+divisor is prime is read off the factorization it came from, not
+tested.  `witness_pairs` is the same walk as a list, for the full
+walks of `build_certificate`.
+
 The two residue-class constructions that make the published case
 splits effective are exposed as `parity_witness` (a = 3,5 mod 8 or
 5 mod 12: a pair with an odd factor count, found via quadratic
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import numth
 from . import pretzel
@@ -61,28 +68,41 @@ class WitnessPair:
         return CyclotomicQuery(self.d, self.p)
 
 
-def witness_pairs(a: int, max_a: int = pretzel.DEFAULT_MAX_A) -> List[WitnessPair]:
-    """All pairs in canonical order: p ascending; within each p the
-    divisors of a (primes ascending, then composites ascending), then
-    the divisors of a+2 likewise.
+def iter_witness_pairs(a: int, max_a: int = pretzel.DEFAULT_MAX_A) -> Iterator[WitnessPair]:
+    """The canonical pairs, made as the walk reaches them: p ascending;
+    within each p the divisors of a (primes ascending, then composites
+    ascending), then the divisors of a+2 likewise.
 
-    >>> [(w.p, w.d) for w in witness_pairs(3)]
+    a and a+2 are each factored on first use, so a walk that stops in
+    a's block never factors a+2.  A divisor d > 1 of n is prime iff it
+    is one of `numth.factorize(n).primes`, so no divisor is tested for
+    primality.  a is validated on the first `next`.
+
+    >>> [(w.p, w.d) for w in iter_witness_pairs(3)]
     [(2, 3), (2, 5)]
+    """
+    knot = pretzel.validate_member(a, max_a)
+    by_source: Dict[int, List[Tuple[int, bool]]] = {}
+    # p | a+1 is prime to a and to a+2, so p never divides d
+    for p in knot.reduction_primes():
+        for n, source in ((a, "a"), (a + 2, "a+2")):
+            if n not in by_source:
+                f = numth.factorize(n)
+                primes = f.primes
+                by_source[n] = [(q, True) for q in primes] + [
+                    (d, False) for d in numth.divisors(f)[1:] if d not in primes
+                ]
+            for d, d_is_prime in by_source[n]:
+                yield WitnessPair(p, d, d_is_prime, source)
+
+
+def witness_pairs(a: int, max_a: int = pretzel.DEFAULT_MAX_A) -> List[WitnessPair]:
+    """All canonical pairs of a, as a list of `iter_witness_pairs`.
+
     >>> [(w.p, w.d) for w in witness_pairs(49)]
     [(5, 7), (5, 49), (5, 3), (5, 17), (5, 51)]
     """
-    knot = pretzel.validate_member(a, max_a)
-    by_source = []
-    for n, source in ((a, "a"), (a + 2, "a+2")):
-        divs = [(d, numth.is_prime(d)) for d in numth.divisors(numth.factorize(n))[1:]]
-        by_source.extend((d, True, source) for d, prime in divs if prime)
-        by_source.extend((d, False, source) for d, prime in divs if not prime)
-    # p | a+1 is prime to a and to a+2, so p never divides d
-    return [
-        WitnessPair(p, d, is_prime_d, source)
-        for p in knot.reduction_primes()
-        for d, is_prime_d, source in by_source
-    ]
+    return list(iter_witness_pairs(a, max_a))
 
 
 STATUS_PARITY = "parity_failed"
@@ -311,10 +331,12 @@ def decide(
 
     Pairs are checked in canonical order by closed form (`check_pair`)
     and the first failure is the witness; by Lemma (a) its d is prime.
-    With no failure the verdict is Inconclusive.  The outcomes of this
-    one walk go to the writer behind `build_certificate`, so no pair is
-    checked twice (`all_witnesses` walks on past the first failure).
-    No polynomial is factored or searched.
+    With no failure the verdict is Inconclusive.  The walk consumes
+    `iter_witness_pairs` lazily, so no pair past the first failure is
+    made.  The outcomes of this one walk go to the writer behind
+    `build_certificate`, so no pair is checked twice (`all_witnesses`
+    walks on past the first failure).  No polynomial is factored or
+    searched.
 
     >>> decide(3).verdict
     'ObstructedParity'
@@ -323,7 +345,7 @@ def decide(
     """
     outcomes = []
     found = None
-    for pair in witness_pairs(a, max_a):
+    for pair in iter_witness_pairs(a, max_a):
         out = check_pair(a, pair)
         outcomes.append(out)
         if found is None and out.status != STATUS_PASS:
@@ -497,6 +519,9 @@ def _scan_one(args) -> ScanRow:
     )
 
 
+_CHUNK = 8  # values of a per task sent to a scan worker
+
+
 def scan(
     lo: int,
     hi: int,
@@ -513,6 +538,11 @@ def scan(
     are byte-stable for a fixed configuration.  Each a costs one
     `decide`, and a row's witness d, when there is one, is prime
     (Lemma (a) in `check_pair`).
+
+    `jobs` is an upper bound on worker processes.  The work goes out in
+    chunks of `_CHUNK` values of a, and the pool starts every worker at
+    the first submit, so it gets min(jobs, number of chunks) workers;
+    when that is 1 the scan runs in this process and forks nothing.
     """
     if lo < 3 or hi < lo:
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
@@ -532,14 +562,15 @@ def scan(
         if rset is None or a % modulus in rset
     ]
     work = [(a, seed, max_a) for a in targets]
-    if jobs == 1:
+    workers = min(jobs, -(-len(work) // _CHUNK))
+    if workers <= 1:
         rows = tuple(_scan_one(args) for args in work)
     else:
         # imported here: a one-process scan never pays for it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(_scan_one, work, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = tuple(pool.map(_scan_one, work, chunksize=_CHUNK))
     counts: Dict[str, int] = {}
     for r in rows:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1

@@ -237,7 +237,8 @@ def test_bad_config_file(tmp_path, capsys, monkeypatch):
     # values that int() would silently coerce, and out-of-range values
     monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
     for bad in ({"jobs": 2.7}, {"seed": True}, {"max_a": "9.5"}, {"jobs": "two"},
-                {"seed": None}, {"jobs": 0}, {"jobs": "-1"}, {"max_a": 2}):
+                {"seed": None}, {"jobs": 0}, {"jobs": "-1"}, {"max_a": 2},
+                {"seed": "1_0"}, {"jobs": " 1"}, {"seed": "\u0667"}):
         cfg.write_text(json.dumps(bad))
         code, _, err = run(capsys, "check", "3")
         assert code == 2 and "bad config" in err, bad
@@ -257,6 +258,48 @@ def test_bad_config_file(tmp_path, capsys, monkeypatch):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"], bad
     cfg.write_text(json.dumps({"jobs": 2, "seed": "7", "max_a": 999, "out": "x"}))
     assert cli.load_config() == cli.Config(max_a=999, seed=7, jobs=2, out="x")
+    cfg.write_text(json.dumps({"seed": "-7"}))
+    assert cli.load_config().seed == -7
+
+
+def test_scan_jobs_is_an_upper_bound(tmp_path, capsys, monkeypatch):
+    # the pool is sized to the work: one worker per chunk at most, and no
+    # pool for a single chunk; no process is started here
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "scan", "3", "21", "--jobs", "64", "--out", "a")[0] == 0
+    assert sizes == [2]  # 10 values of a in chunks of 8
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 100000}))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    assert run(capsys, "scan", "3", "21", "--out", "b")[0] == 0
+    assert sizes == [2, 2]
+    assert run(capsys, "scan", "3", "17", "--out", "c")[0] == 0
+    assert sizes == [2, 2]  # 8 values: one chunk, scanned in process
+    for ext in ("csv", "jsonl"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+    serial = obstruction.scan(3, 99)
+    assert obstruction.scan(3, 99, jobs=3) == serial  # 49 values, 7 chunks
+    assert obstruction.scan(3, 99, jobs=64) == serial
+    assert obstruction.scan(3, 9, modulus=120, residues=(97,), jobs=64).rows == ()
+    assert sizes == [2, 2, 3, 7]
 
 
 def test_out_of_range_flags_are_usage_errors(capsys):

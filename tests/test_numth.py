@@ -96,6 +96,58 @@ def test_factorize_beyond_the_trial_bound():
     assert numth.factorize(n * 65537 * 3).pairs == ((3, 1), (65537, 2), (1000003, 1))
 
 
+def _naive_factorize(n):
+    pairs, q = [], 2
+    while q * q <= n:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            pairs.append((q, e))
+        q += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+def test_factorize_matches_a_naive_reference_below_2_17(monkeypatch):
+    # smallest-prime-factor table as the reference; trial division ends
+    # without a primality test (the exit proof in `factorize`), so
+    # is_prime is never reached below 65521^2
+    limit = 1 << 17
+    spf = list(range(limit))
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit, i):
+                if spf[j] == j:
+                    spf[j] = i
+
+    def no_test(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    numth.factorize.cache_clear()
+    monkeypatch.setattr(numth, "is_prime", no_test)
+    for n in range(1, limit):
+        want, m = {}, n
+        while m > 1:
+            want[spf[m]] = want.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert numth.factorize(n).pairs == tuple(sorted(want.items())), n
+
+
+def test_factorize_where_the_sieve_runs_out():
+    # 65521 is the last sieve prime: at 65521^2 trial division ends on
+    # the sieve's last prime, and past it the cofactor goes to Brent
+    assert numth._sieve()[-1] == 65521
+    small = [q for q in range(3, 60) if numth.is_prime(q)]
+    cases = [65521**2, 65521 * 65537, 65521**2 - 2, 65521**2 + 2, 65537**2, 65537 * 65539]
+    cases += [(1 << 32) + s * q for q in small for s in (-1, 1)]
+    numth.factorize.cache_clear()
+    for n in cases:
+        assert numth.factorize(n).pairs == _naive_factorize(n), n
+
+
 def test_totient_and_divisors():
     assert numth.totient(numth.factorize(1)) == 1
     assert numth.totient(numth.factorize(63)) == 36

@@ -1,6 +1,7 @@
 """Decision pipeline: witness pairs, verdicts, certificates, scans."""
 
 import json
+import math
 
 import pytest
 
@@ -40,6 +41,81 @@ def test_witness_pairs_structure():
         per_p = [w for w in ws if w.p == ps[0]]
         sources = [w.source for w in per_p]
         assert sources == sorted(sources, key=lambda s: s != "a")
+
+
+def reference_pairs(a):
+    """The canonical order built eagerly, each divisor tested for primality."""
+    def divisors_over_one(n):
+        small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+        return sorted({x for i in small for x in (i, n // i)} - {1})
+
+    by_source = []
+    for n, source in ((a, "a"), (a + 2, "a+2")):
+        divs = divisors_over_one(n)
+        by_source += [(d, True, source) for d in divs if numth.is_prime(d)]
+        by_source += [(d, False, source) for d in divs if not numth.is_prime(d)]
+    ps = [p for p in divisors_over_one((a + 1) // 2) if numth.is_prime(p)]
+    return [ob.WitnessPair(p, d, prime, source) for p in ps for d, prime, source in by_source]
+
+
+def test_lazy_walk_matches_the_eager_order():
+    # the generator yields the eager order, and reading d's primality off
+    # the factorization agrees with testing it
+    for a in range(3, 5000, 2):
+        walk = list(ob.iter_witness_pairs(a))
+        assert walk == reference_pairs(a), a
+        assert ob.witness_pairs(a) == walk, a
+        assert all(w.d_is_prime == numth.is_prime(w.d) for w in walk), a
+
+
+def test_lazy_walk_validates_on_first_next():
+    walk = ob.iter_witness_pairs(4)
+    with pytest.raises(ValueError):
+        next(walk)
+    with pytest.raises(ValueError):
+        ob.witness_pairs(21, max_a=19)
+
+
+@pytest.mark.parametrize("a", [3, 11, 19, 43])
+def test_decide_does_not_factor_a_plus_2_when_a_decides(a, monkeypatch):
+    # each of these a fails at its first pair, (2, a): a+2 is never reached
+    factored = []
+    orig = numth.factorize
+
+    def spy(n):
+        factored.append(n)
+        return orig(n)
+
+    numth.factorize.cache_clear()
+    monkeypatch.setattr(numth, "factorize", spy)
+    cert = ob.decide(a)
+    assert (cert.witness.p, cert.witness.d, cert.witness.source) == (2, a, "a")
+    assert a in factored and a + 2 not in factored, factored
+
+
+def test_decide_checks_pairs_up_to_the_first_failure(monkeypatch):
+    # decide makes exactly (index of the first failing pair + 1) check_pair
+    # calls, or one per pair when every pair passes
+    orig = ob.check_pair
+    calls = [0]
+
+    def counting(a_, pair):
+        calls[0] += 1
+        return orig(a_, pair)
+
+    for a in range(3, 5000, 2):
+        pairs = ob.witness_pairs(a)
+        statuses = [orig(a, w).status for w in pairs]
+        fails = [i for i, s in enumerate(statuses) if s != ob.STATUS_PASS]
+        want = fails[0] + 1 if fails else len(pairs)
+        calls[0] = 0
+        monkeypatch.setattr(ob, "check_pair", counting)
+        cert = ob.decide(a)
+        monkeypatch.setattr(ob, "check_pair", orig)
+        assert calls[0] == want, a
+        if fails:
+            w = pairs[fails[0]]
+            assert (cert.witness.p, cert.witness.d) == (w.p, w.d), a
 
 
 def test_check_pair_parity_failure():
