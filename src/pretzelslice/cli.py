@@ -48,16 +48,29 @@ class Config:
     out: Optional[str] = None
 
 
+def integer(text: str) -> int:
+    """An optional "-" followed by ASCII decimal digits, as an int.
+
+    int(str) also takes "1_0", " 1" and non-ASCII digits such as
+    "\u0667"; every integer on the command line and in the config file
+    is read by this rule instead.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _config_int(key: str, value) -> int:
-    # bool is an int subclass, int() truncates floats, and int(str) also
-    # takes "1_0", " 1" and non-ASCII digits; accept only a JSON integer or
-    # an optional "-" followed by ASCII decimal digits
-    if isinstance(value, str):
-        digits = value[1:] if value.startswith("-") else value
-        if digits.isascii() and digits.isdigit():
-            return int(value)
-    elif isinstance(value, int) and not isinstance(value, bool):
+    # bool is an int subclass and int() truncates floats: accept only a
+    # JSON integer or a string that `integer` reads
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
+    if isinstance(value, str):
+        try:
+            return integer(value)
+        except ValueError:
+            pass
     raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
 
 
@@ -87,7 +100,7 @@ def load_config() -> Config:
 
 def _parse_residues(text: str) -> List[int]:
     try:
-        out = [int(r) for r in text.split(",") if r.strip() != ""]
+        out = [integer(r.strip()) for r in text.split(",") if r.strip() != ""]
     except ValueError:
         raise ValueError(f"bad residue list {text!r}") from None
     if not out:
@@ -274,26 +287,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "pretzel knots P(a, -a-2, -(a+1)^2/2).",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=integer, default=None,
                         help="PRNG seed recorded into certificates")
-    parser.add_argument("--max-a", type=int, default=None,
+    parser.add_argument("--max-a", type=integer, default=None,
                         help="largest admissible a")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide one family member")
-    p_check.add_argument("a", type=int)
+    p_check.add_argument("a", type=integer)
     p_check.add_argument("--all-witnesses", action="store_true",
                          help="record every failing pair, not just the first")
     p_check.add_argument("--out", help="write the certificate JSON here")
 
     p_scan = sub.add_parser("scan", help="decide a whole range")
-    p_scan.add_argument("lo", type=int)
-    p_scan.add_argument("hi", type=int)
-    p_scan.add_argument("--mod", type=int, default=None,
+    p_scan.add_argument("lo", type=integer)
+    p_scan.add_argument("hi", type=integer)
+    p_scan.add_argument("--mod", type=integer, default=None,
                         help="keep only a in given residue classes")
     p_scan.add_argument("--residues", default=None,
                         help="comma-separated residues for --mod")
-    p_scan.add_argument("--jobs", type=int, default=None,
+    p_scan.add_argument("--jobs", type=integer, default=None,
                         help="worker processes")
     p_scan.add_argument("--out", default=None,
                         help="output prefix (default: scan)")
@@ -301,15 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect = sub.add_parser("inspect", help="print the underlying objects")
     isub = p_inspect.add_subparsers(dest="what", required=True)
     p_cyc = isub.add_parser("cyclotomic", help="factor Phi_d mod p")
-    p_cyc.add_argument("d", type=int)
-    p_cyc.add_argument("p", type=int)
+    p_cyc.add_argument("d", type=integer)
+    p_cyc.add_argument("p", type=integer)
     p_leg = isub.add_parser("legendre", help="Legendre symbol (n/d)")
-    p_leg.add_argument("n", type=int)
-    p_leg.add_argument("d", type=int)
+    p_leg.add_argument("n", type=integer)
+    p_leg.add_argument("d", type=integer)
     p_alex = isub.add_parser("alexander",
                              help="Alexander polynomial, optionally mod p")
-    p_alex.add_argument("a", type=int)
-    p_alex.add_argument("p", type=int, nargs="?", default=None)
+    p_alex.add_argument("a", type=integer)
+    p_alex.add_argument("p", type=integer, nargs="?", default=None)
 
     p_verify = sub.add_parser("verify", help="re-verify a certificate file")
     p_verify.add_argument("file")

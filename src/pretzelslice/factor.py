@@ -8,14 +8,14 @@ seed: every random draw comes from a counter-mode hash keyed by the
 seed, the modulus and the operand, so results do not depend on call
 order or process layout.
 
-Divisors of t^n - 1 admit much faster arithmetic: the Frobenius x -> x^p
-acts on F_p[t]/(t^n - 1) as a coefficient permutation (an index
-permutation of the array that holds a ring element), and the
+Divisors of t^n - 1 admit much faster arithmetic.  The Frobenius
+x -> x^p permutes the coefficients of F_p[t]/(t^n - 1), so elements
+constant on its orbits are fixed and take values in F_p modulo every
+factor: equal-degree splitting draws those and needs no norm.  The
 Frobenius gcds of distinct-degree splitting and of Rabin's test
-collapse to gcds with t^g - 1 for divisors g of n, which fold their
-input mod t^g - 1 first.  The ``*_cyclic`` entry points exploit this;
-they validate the divisor claim on entry and verify their output
-(equal degrees, reconstruction, and Rabin's irreducibility test once
+collapse to gcds with t^g - 1 for divisors g of n.  The ``*_cyclic``
+entry points validate the divisor claim once on entry and verify
+their output (equal degrees, reconstruction, and Rabin's test once
 per degree class), so they are safe to use as an independent oracle
 for the closed-form counting rules.
 """
@@ -405,14 +405,8 @@ def _binomial_gcd(rem: ModPoly, g: int) -> ModPoly:
     return ModPoly._of(p, (p - 1,) + (0,) * (g - 1) + (1,)).gcd(folded)
 
 
-def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
-    """Distinct-degree split of f | t^n - 1, via divisor-gcd collapsing.
-
-    Frobenius powers of t are monomials modulo t^n - 1, so the usual
-    gcd(f, t^(p^k) - t) equals gcd(f, t^g - 1) with g = gcd(p^k - 1, n);
-    only a handful of distinct g ever occur.
-    """
-    _validate_cyclic(f, n)
+def _distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
+    """`distinct_degree_cyclic` for an f already known to divide t^n - 1."""
     p = f.p
     rem = f.monic()
     out = []
@@ -425,7 +419,8 @@ def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
         g = math.gcd(e - 1, n)
         if g in dead:
             continue
-        part = _binomial_gcd(rem, g)
+        # rem | f | t^n - 1, so gcd(rem, t^n - 1) is rem itself
+        part = rem if g == n else _binomial_gcd(rem, g)
         if part.degree == 0:
             dead.add(g)
             continue
@@ -437,41 +432,33 @@ def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
     return out
 
 
+def distinct_degree_cyclic(f: ModPoly, n: int) -> List[Tuple[ModPoly, int]]:
+    """Distinct-degree split of f | t^n - 1, via divisor-gcd collapsing.
+
+    Frobenius powers of t are monomials modulo t^n - 1, so the usual
+    gcd(f, t^(p^k) - t) equals gcd(f, t^g - 1) with g = gcd(p^k - 1, n);
+    only a handful of distinct g ever occur.  At g = n that gcd is the
+    remaining part itself, which divides f.  Validates f | t^n - 1.
+    """
+    _validate_cyclic(f, n)
+    return _distinct_degree_cyclic(f, n)
+
+
 # -- ring F_p[t]/(t^n - 1): elements are arrays of n coefficients (int64
-# for p < 2^63, Python ints beyond); fold products, permute for Frobenius
+# for p < 2^63, Python ints beyond)
 
 
-def _ring_frobenius(a: np.ndarray, pw: int, n: int) -> np.ndarray:
-    # x -> x^(p^w) permutes coefficients: index i moves to i*p^w mod n
-    out = np.empty_like(a)
-    out[(np.arange(n) * pw) % n] = a
-    return out
-
-
-def _ring_norm(x: np.ndarray, k: int, n: int, p: int) -> np.ndarray:
-    """prod_{i<k} sigma^i(x) in the cyclic ring (norm map to F_p)."""
-    acc = x
-    have = 1
-    for bit in bin(k)[3:]:
-        acc = _k.mul_cyclic_mod(acc, _ring_frobenius(acc, pow(p, have, n), n), n, p)
-        have *= 2
-        if bit == "1":
-            acc = _k.mul_cyclic_mod(_ring_frobenius(acc, p % n, n), x, n, p)
-            have += 1
-    return acc
-
-
-def _ring_trace(x: np.ndarray, k: int, n: int) -> np.ndarray:
-    """sum_{i<k} sigma^i(x) in the cyclic ring over F_2 (addition is xor)."""
-    acc = x
-    have = 1
-    for bit in bin(k)[3:]:
-        acc = acc ^ _ring_frobenius(acc, pow(2, have, n), n)
-        have *= 2
-        if bit == "1":
-            acc = _ring_frobenius(acc, 2 % n, n) ^ x
-            have += 1
-    return acc
+def _frobenius_orbits(n: int, p: int) -> Tuple[np.ndarray, int]:
+    """Orbit labels of i -> i*p mod n (p a unit mod n) on range(n), and their count."""
+    label = [-1] * n
+    m = 0
+    for i in range(n):
+        if label[i] < 0:
+            j = i
+            while label[j] < 0:
+                label[j], j = m, j * p % n
+            m += 1
+    return np.array(label, dtype=np.intp), m
 
 
 def _ring_pow(x: np.ndarray, e: int, n: int, p: int) -> np.ndarray:
@@ -497,11 +484,22 @@ def _edf_cyclic(
 ) -> List[Tuple[ModPoly, int]]:
     """Split every (product, k) into its degree-k irreducible factors.
 
-    One random ring element per round refines all pending pieces at
-    once; pieces are tracked per k so the norm/trace is computed once
-    per degree class each round.  With `limit` set, returns as soon as
-    that many factors have been isolated (used when any single witness
-    factor suffices).
+    Each round draws one Frobenius-fixed ring element x and refines the
+    pending pieces of every class with it.  With `limit` set, returns
+    once that many factors are isolated (any one witness suffices).
+
+    Proof (the Berlekamp subalgebra: Berlekamp 1970; von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, 14.8).  On R = F_p[t]/(t^n - 1),
+    x -> x^p permutes coefficients by t^i -> t^(ip), as c^p = c on F_p,
+    so x^p = x exactly when x is constant on the orbits of i -> ip mod n.
+    Modulo an irreducible g | t^n - 1 such an x is a root of Y^p - Y in
+    a field, so it lies in F_p.  As p does not divide n, R is the
+    product of the fields F_p[t]/(g) by CRT, and its fixed elements are
+    exactly the tuples of constants.  So uniform coefficients per orbit
+    give independent uniform values x mod g, and w = x (p = 2) or
+    x^((p-1)/2) - 1 vanishes mod g with the Cantor-Zassenhaus odds:
+    gcd(piece, w) splits two factors with probability >= 4/9.  The
+    caller verifies every output, whichever element found it.
     """
     done: List[Tuple[ModPoly, int]] = []
     pending: Dict[int, List[ModPoly]] = {}
@@ -514,6 +512,7 @@ def _edf_cyclic(
             anchor[k] = piece if k not in anchor else anchor[k] * piece
     total = sum(c.degree for v in pending.values() for c in v)
     rng = CounterRng(seed, "edf-cyclic", p, n, total)
+    label, orbits = _frobenius_orbits(n, p)
     rounds = 0
     while pending:
         if limit is not None and len(done) >= limit:
@@ -521,17 +520,18 @@ def _edf_cyclic(
         rounds += 1
         if rounds > 64 + 8 * max(1, total.bit_length()):
             raise ArithmeticError("cyclic equal-degree split stalled")  # pragma: no cover
-        x = np.array(rng.coeffs(n, p), dtype=_k.cyclic_dtype(p))
+        x = np.array(rng.coeffs(orbits, p), dtype=_k.cyclic_dtype(p))[label]
+        if p == 2:
+            w = x.tolist()
+        else:
+            # the power is x itself at p = 3: subtract in the list
+            w = _ring_pow(x, (p - 1) // 2, n, p).tolist()
+            w[0] = (w[0] - 1) % p
+        w = ModPoly._of(p, _k.trim(w))
         for k in list(pending):
-            if p == 2:
-                w = _ring_trace(x, k, n).tolist()
-            else:
-                # the power may be x itself (p = 3, k = 1): subtract in the list
-                w = _ring_pow(_ring_norm(x, k, n, p), (p - 1) // 2, n, p).tolist()
-                w[0] = (w[0] - 1) % p
             # one reduction from ring size down to the class product,
             # then cheap per-piece reductions from there
-            wred = ModPoly._of(p, _k.trim(w)).divrem(anchor[k])[1]
+            wred = w.divrem(anchor[k])[1]
             still: List[ModPoly] = []
             for piece in pending[k]:
                 g = piece.gcd(wred.divrem(piece)[1])
@@ -550,13 +550,6 @@ def _edf_cyclic(
                 del pending[k]
                 del anchor[k]
     return done
-
-
-def _monomial_mod(e: int, g: ModPoly) -> ModPoly:
-    """t^e mod g."""
-    if e < g.degree:
-        return ModPoly(g.p, (0,) * e + (1,))
-    return ModPoly(g.p, (0,) * e + (1,)).divrem(g)[1]
 
 
 def _rabin_cyclic(P: ModPoly, k: int, n: int) -> bool:
@@ -598,7 +591,7 @@ def _rabin_cyclic(P: ModPoly, k: int, n: int) -> bool:
         return False
     p = P.p
     t = ModPoly(p, (0, 1)).divrem(P)[1]
-    if _monomial_mod(pow(p, k, n), P) != t:
+    if ModPoly(p, (0,) * pow(p, k, n) + (1,)).divrem(P)[1] != t:
         return False
     for q in {q for q, _ in numth.factorize(k)}:
         if _binomial_gcd(P, math.gcd(pow(p, k // q, n) - 1, n)).degree != 0:
@@ -620,7 +613,7 @@ def is_irreducible_cyclic(g: ModPoly, n: int, k: Optional[int] = None) -> bool:
 def factor_cyclic(f: ModPoly, n: int, seed: int = DEFAULT_SEED) -> FactorMultiset:
     """Complete factorization of a divisor of t^n - 1 (all multiplicities 1).
 
-    Validates the divisor claim, splits, then verifies the output:
+    Validates the divisor claim once, splits, then verifies the output:
     every piece has the degree k of its class, the pieces reconstruct
     the input exactly, and the product of each degree class passes
     Rabin's test once (`_rabin_cyclic`).  Reconstruction comes first,
@@ -632,7 +625,7 @@ def factor_cyclic(f: ModPoly, n: int, seed: int = DEFAULT_SEED) -> FactorMultise
     g = f.monic()
     if g.degree == 0:
         return FactorMultiset(f.p, scalar, ())
-    classes = distinct_degree_cyclic(g, n)
+    classes = _distinct_degree_cyclic(g, n)
     split = _edf_cyclic(classes, n, f.p, seed)
     products: Dict[int, ModPoly] = {}
     for h, k in split:
@@ -696,11 +689,13 @@ def self_reciprocal_search(
         if g <= 2 or g in tried:
             continue
         tried.add(g)
-        part = _binomial_gcd(f.monic(), g)
+        # f | t^n - 1, so gcd(f, t^n - 1) is f itself
+        part = f.monic() if g == n else _binomial_gcd(f.monic(), g)
         if part.degree > 0:
             witness = None
             if part.degree <= exhibit_cap:
-                classes = distinct_degree_cyclic(part.monic(), n)
+                # part | f was validated with f
+                classes = _distinct_degree_cyclic(part, n)
                 piece, k = classes[0]
                 sub = _edf_cyclic([(piece, k)], n, p, seed, limit=1)
                 witness = sub[0][0]

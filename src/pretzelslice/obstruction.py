@@ -519,7 +519,7 @@ def _scan_one(args) -> ScanRow:
     )
 
 
-_CHUNK = 8  # values of a per task sent to a scan worker
+_CHUNK = 8  # least values of a per task sent to a scan worker
 
 
 def scan(
@@ -539,10 +539,12 @@ def scan(
     `decide`, and a row's witness d, when there is one, is prime
     (Lemma (a) in `check_pair`).
 
-    `jobs` is an upper bound on worker processes.  The work goes out in
-    chunks of `_CHUNK` values of a, and the pool starts every worker at
-    the first submit, so it gets min(jobs, number of chunks) workers;
-    when that is 1 the scan runs in this process and forks nothing.
+    `jobs` is an upper bound on worker processes.  The pool starts every
+    worker at the first submit, so it gets min(jobs, number of
+    `_CHUNK`-value chunks) workers; when that is 1 the scan runs in this
+    process and forks nothing.  Tasks carry about 1/16 of each worker's
+    share and at least `_CHUNK` values of a, so that one task's decide
+    work outweighs its pickling and round trip.
     """
     if lo < 3 or hi < lo:
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
@@ -569,8 +571,9 @@ def scan(
         # imported here: a one-process scan never pays for it
         from concurrent.futures import ProcessPoolExecutor
 
+        chunksize = max(_CHUNK, -(-len(work) // (16 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_scan_one, work, chunksize=_CHUNK))
+            rows = tuple(pool.map(_scan_one, work, chunksize=chunksize))
     counts: Dict[str, int] = {}
     for r in rows:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1

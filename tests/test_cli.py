@@ -302,6 +302,71 @@ def test_scan_jobs_is_an_upper_bound(tmp_path, capsys, monkeypatch):
     assert sizes == [2, 2, 3, 7]
 
 
+def test_scan_tasks_carry_a_sixteenth_of_each_workers_share(monkeypatch):
+    # chunks of at least 8 values of a, about 16 per worker; the pool
+    # and the decide calls are stand-ins, so no process is started
+    import concurrent.futures
+
+    seen = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            seen.append((self.workers, len(items), chunksize))
+            return map(fn, items)
+
+    def one(args):
+        return obstruction.ScanRow(args[0], obstruction.VERDICT_INCONCLUSIVE, None, None, "")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(obstruction, "_scan_one", one)
+    for hi, jobs in ((21, 64), (99, 3), (199999, 2), (199999, 64), (17999, 2)):
+        assert len(obstruction.scan(3, hi, jobs=jobs).rows) == (hi - 1) // 2
+    assert seen == [(2, 10, 8), (3, 49, 8), (2, 99999, 3125), (64, 99999, 98),
+                    (2, 8999, 282)]
+
+
+def _exit_code(capsys, *argv):
+    """main's exit code, whether argparse or the command reports the error."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_command_line_integers_follow_the_config_rule(tmp_path, capsys, monkeypatch):
+    # int() would read each of these: the Arabic-Indic seven, a digit
+    # separator, a fullwidth two; the config file already refused them
+    monkeypatch.chdir(tmp_path)
+    for argv in (("check", "\u0667"),
+                 ("--seed", "1_0", "check", "3"),
+                 ("--max-a", " 99", "check", "3"),
+                 ("scan", "3", "21", "--mod", "120", "--residues", "1_0,97"),
+                 ("scan", "3", "21", "--jobs", "\uff12"),
+                 ("inspect", "cyclotomic", "7", "\u0662")):
+        code, err = _exit_code(capsys, *argv)
+        assert code == 2 and err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    # spaces around residue tokens and negative values still parse
+    code, err = _exit_code(capsys, "scan", "3", "249", "--mod", "120",
+                           "--residues", "1, 97", "--out", "r")
+    assert code == 0 and not err
+    rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["97", "121", "217", "241"]
+    assert _exit_code(capsys, "--seed", "-7", "check", "3") == (0, "")
+    assert cli.integer("-12") == -12
+
+
 def test_out_of_range_flags_are_usage_errors(capsys):
     # the flags are range-checked with the config file's values, before
     # any command runs; a good certificate is not blamed

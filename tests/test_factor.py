@@ -1,5 +1,6 @@
 """Factorization engine: squarefree split, CZ, cyclic fast paths."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -526,6 +527,11 @@ def _class_products():
     return out
 
 
+# sha256 over the reprs of `distinct_degree_cyclic` on every product of
+# `_class_products()`, as computed while it still took gcd(rem, t^n - 1)
+DISTINCT_DEGREE_REFERENCE = "cda80d87a83afbcede232842dd4aa887e767a06208d3d91a86b84e35318b349b"
+
+
 def _divisors(n):
     return [g for g in range(1, n + 1) if n % g == 0]
 
@@ -571,16 +577,62 @@ def test_class_rabin_agrees_with_the_monomial_gcd_reference():
 
 
 def test_ring_frobenius_is_the_coefficient_permutation():
+    """x^p is x with index i moved to i*p mod n, and `_frobenius_orbits`
+    labels exactly the orbits of that permutation, one per irreducible
+    factor of t^n - 1."""
     rng = random.Random(64)
-    for n in range(1, 65):
-        a = [rng.randrange(97) for _ in range(n)]
-        for pw in {w for w in range(1, 2 * n + 2) if math.gcd(w, n) == 1}:
+    for p in (2, 3, 5, 7, 97):
+        for n in range(1, 61):
+            if n % p == 0:
+                continue
+            x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
             want = [0] * n
-            for i, c in enumerate(a):
-                want[i * pw % n] = c
-            arr = np.array(a, dtype=np.int64)
-            assert factor_mod._ring_frobenius(arr, pw, n).tolist() == want, (n, pw)
-            assert arr.tolist() == a
+            for i, c in enumerate(x.tolist()):
+                want[i * p % n] = c
+            assert factor_mod._ring_pow(x, p, n, p).tolist() == want, (p, n)
+            label, m = factor_mod._frobenius_orbits(n, p)
+            powers = [pow(p, j, n) for j in range(n)]
+            orbit_of = {}
+            for i in range(n):
+                orbit = frozenset(i * q % n for q in powers)
+                orbit_of.setdefault(orbit, set()).add(int(label[i]))
+            assert all(len(ids) == 1 for ids in orbit_of.values()), (p, n)
+            assert sorted(i for ids in orbit_of.values() for i in ids) == list(range(m))
+            assert m == len(factor(_tn1(p, n)).factors), (p, n)
+
+
+def _fixed_element(n, p, rng):
+    label, m = factor_mod._frobenius_orbits(n, p)
+    return np.array([rng.randrange(p) for _ in range(m)], dtype=_k.cyclic_dtype(p))[label]
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (2, 45), (3, 40), (5, 42), (7, 57),
+                                  (13, 36), (97, 60)])
+def test_frobenius_fixed_elements_are_constants_mod_every_factor(p, n):
+    """The lemma behind `_edf_cyclic`: an orbit-constant x has x^p = x,
+    and x mod g lies in F_p for every irreducible g | t^n - 1."""
+    rng = random.Random(p * n)
+    factors = [g for g, _ in factor(_tn1(p, n))]
+    for _ in range(8):
+        x = _fixed_element(n, p, rng)
+        assert factor_mod._ring_pow(x, p, n, p).tolist() == x.tolist()
+        xpoly = ModPoly(p, x.tolist())
+        for g in factors:
+            assert xpoly.divrem(g)[1].degree <= 0, (p, n, g)
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (2, 15), (3, 8), (5, 6)])
+def test_frobenius_fixed_elements_take_every_value_tuple(p, n):
+    """The orbit indicators are a basis: the p^m orbit-constant elements
+    have p^m distinct tuples of values mod the m factors."""
+    label, m = factor_mod._frobenius_orbits(n, p)
+    factors = [g for g, _ in factor(_tn1(p, n))]
+    assert len(factors) == m
+    values = set()
+    for coeffs in itertools.product(range(p), repeat=m):
+        x = ModPoly(p, [coeffs[j] for j in label.tolist()])
+        values.add(tuple(x.divrem(g)[1].coeffs for g in factors))
+    assert len(values) == p ** m
 
 
 @pytest.mark.parametrize("n, p", [(1, 5), (7, 29), (64, 3), (300, 97)])
@@ -642,11 +694,11 @@ def test_moduli_past_a_machine_word_are_rejected_on_entry():
 
 @pytest.mark.parametrize("p", [P63_TOP, P64, M89])
 def test_ring_is_exact_past_int64(p):
-    """Norm and power on the ring at any p: int64 arrays below 2^63,
-    arrays of Python ints beyond, against a list reference."""
+    """A Frobenius-fixed element and powers of it on the ring at any p:
+    int64 arrays below 2^63, arrays of Python ints beyond, against a
+    list reference."""
     n = 9
-    rng = random.Random(p % 1000)
-    x = np.array([rng.randrange(p) for _ in range(n)], dtype=_k.cyclic_dtype(p))
+    x = _fixed_element(n, p, random.Random(p % 1000))
     assert x.dtype == (np.int64 if p < 1 << 63 else object)
     keep = x.tolist()
 
@@ -654,22 +706,13 @@ def test_ring_is_exact_past_int64(p):
         raw = _k.mul_mod(a, b, p)
         return [sum(raw[i::n]) % p for i in range(n)]
 
-    def frob(a, pw):
-        out = [0] * n
-        for i, c in enumerate(a):
-            out[i * pw % n] = c
-        return out
-
-    want = [1] + [0] * (n - 1)
-    for i in range(3):
-        want = times(want, frob(keep, pow(p, i, n)))
-    norm = factor_mod._ring_norm(x, 3, n, p)
-    assert norm.dtype == x.dtype and norm.tolist() == want
     power = keep
     for _ in range(4):
         power = times(power, keep)
     got = factor_mod._ring_pow(x, 5, n, p)
     assert got.dtype == x.dtype and got.tolist() == power
+    fixed = factor_mod._ring_pow(x, p, n, p)
+    assert fixed.dtype == x.dtype and fixed.tolist() == keep
     assert x.tolist() == keep
 
 
@@ -680,17 +723,64 @@ def test_ring_is_exact_past_int64(p):
     (reduced(CyclotomicQuery(7, 29)), 7),
 ])
 def test_factor_cyclic_leaves_the_random_element_alone(f, n, monkeypatch):
-    """Every class of a round reads the same x: the norm, the power and
-    the subtraction of 1 write into no array that x is."""
+    """The power and the subtraction of 1 write into no array that x is,
+    and x is Frobenius-fixed."""
     assert factor_cyclic(f, n) == factor(f)
     seen = []
-    orig = factor_mod._ring_norm
+    orig = factor_mod._ring_pow
 
-    def recorded(x, k, n_, p):
+    def recorded(x, e, n_, p):
         seen.append((x, x.copy()))
-        return orig(x, k, n_, p)
+        return orig(x, e, n_, p)
 
-    monkeypatch.setattr(factor_mod, "_ring_norm", recorded)
+    monkeypatch.setattr(factor_mod, "_ring_pow", recorded)
     assert factor_cyclic(f, n, seed=5) == factor(f)
     assert seen
     assert all((x == snapshot).all() for x, snapshot in seen)
+    p = f.p
+    assert all(orig(x, p, n, p).tolist() == x.tolist() for x, _ in seen)
+
+
+def test_distinct_degree_cyclic_takes_no_gcd_with_t_n_minus_1(monkeypatch):
+    """gcd(rem, t^n - 1) is rem itself, so it is never computed."""
+    products = _class_products()
+    calls = []
+    orig = factor_mod._binomial_gcd
+
+    def recorded(rem, g):
+        calls.append((rem.p, g))
+        return orig(rem, g)
+
+    monkeypatch.setattr(factor_mod, "_binomial_gcd", recorded)
+    h = hashlib.sha256()
+    for P, _, n in products:
+        del calls[:]
+        got = distinct_degree_cyclic(P, n)
+        assert all(g != n for _, g in calls), (P.p, n)
+        h.update(repr([(piece.coeffs, k) for piece, k in got]).encode())
+    # the outputs of the commit that still took the gcd
+    assert h.hexdigest() == DISTINCT_DEGREE_REFERENCE
+
+
+def test_factor_cyclic_validates_once(monkeypatch):
+    calls = []
+    orig = factor_mod._validate_cyclic
+
+    def recorded(f, n):
+        calls.append(n)
+        return orig(f, n)
+
+    monkeypatch.setattr(factor_mod, "_validate_cyclic", recorded)
+    for p, n in CYCLIC_CASES:
+        del calls[:]
+        assert factor_cyclic(_tn1(p, n), n).total_degree() == n
+        assert calls == [n], (p, n)
+
+
+def test_public_cyclic_entry_points_reject_a_non_divisor():
+    # t^2 + 1 over F_3 divides t^4 - 1 but not t^5 - 1
+    g = ModPoly(3, (1, 0, 1))
+    for call in (distinct_degree_cyclic, is_irreducible_cyclic, factor_cyclic):
+        assert call(g, 4)
+        with pytest.raises(ValueError, match="does not divide"):
+            call(g, 5)
