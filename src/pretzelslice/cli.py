@@ -25,8 +25,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from . import numth, obstruction, pretzel
 from ._version import __version__
@@ -40,8 +39,7 @@ EXIT_INCONCLUSIVE = 10
 CONFIG_ENV = "PRETZELSLICE_CONFIG"
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     max_a: int = pretzel.DEFAULT_MAX_A
     seed: int = DEFAULT_SEED
     jobs: int = 1
@@ -75,27 +73,25 @@ def _config_int(key: str, value) -> int:
 
 
 def load_config() -> Config:
-    cfg = Config()
     path = os.environ.get(CONFIG_ENV)
     if not path:
-        return cfg
+        return Config()
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    known = [f.name for f in fields(Config)]
+    known = Config._fields
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
                          f"known keys are {', '.join(known)}")
-    for key in ("max_a", "seed", "jobs"):
-        if key in data:
-            setattr(cfg, key, _config_int(key, data[key]))
+    values = {key: _config_int(key, data[key])
+              for key in ("max_a", "seed", "jobs") if key in data}
     if "out" in data:
         if not isinstance(data["out"], str):
             raise ValueError(f"config key 'out' must be a string, got {data['out']!r}")
-        cfg.out = data["out"]
-    return cfg
+        values["out"] = data["out"]
+    return Config(**values)
 
 
 def _parse_residues(text: str) -> List[int]:
@@ -333,10 +329,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config()
-        for key in ("seed", "max_a", "jobs", "out"):
-            if getattr(args, key, None) is not None:
-                setattr(cfg, key, getattr(args, key))
+        cfg = load_config()._replace(**{
+            key: getattr(args, key) for key in ("seed", "max_a", "jobs", "out")
+            if getattr(args, key, None) is not None
+        })
         if cfg.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
         if cfg.max_a < 3:

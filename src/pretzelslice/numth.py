@@ -14,14 +14,17 @@ the self-reciprocal criterion -1 in <p> mod d
 (`has_self_reciprocal_factor`).  `cyclotomic`, the oracle module that
 answers the same questions by factoring, re-exports both as the same
 objects.
+
+The core's records are named tuples, so a cold command never loads the
+`inspect`, `ast`, `dis` and `tokenize` modules a dataclass needs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 # Seed recorded in certificates and keying the factorization oracle's
 # random splits; only the oracle (`factor`) draws from it.
@@ -40,12 +43,14 @@ _small_primes: List[int] = []
 def _sieve() -> List[int]:
     global _small_primes
     if not _small_primes:
-        flags = bytearray([1]) * _TRIAL_BOUND
-        flags[0:2] = b"\x00\x00"
-        for i in range(2, int(_TRIAL_BOUND**0.5) + 1):
-            if flags[i]:
-                flags[i * i :: i] = b"\x00" * len(range(i * i, _TRIAL_BOUND, i))
-        _small_primes = [i for i in range(_TRIAL_BOUND) if flags[i]]
+        half = _TRIAL_BOUND // 2
+        flags = bytearray([1]) * half  # flags[k] stands for 2k + 1: odd numbers only
+        flags[0] = 0  # 1 is not prime
+        for k in range(1, (math.isqrt(_TRIAL_BOUND) + 1) // 2):
+            if flags[k]:
+                i = 2 * k + 1
+                flags[i * i // 2 :: i] = bytes(len(range(i * i // 2, half, i)))
+        _small_primes = [2, *itertools.compress(range(1, _TRIAL_BOUND, 2), flags)]
     return _small_primes
 
 
@@ -83,25 +88,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Sorted (prime, exponent) pairs with product equal to the input."""
+class Factorization(tuple):
+    """The sorted (prime, exponent) pairs, as a tuple, with product the input."""
 
-    pairs: Tuple[Tuple[int, int], ...]
+    __slots__ = ()
+
+    @property
+    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
         out = 1
-        for q, e in self.pairs:
+        for q, e in self:
             out *= q**e
         return out
 
     @property
     def primes(self) -> Tuple[int, ...]:
-        return tuple(q for q, _ in self.pairs)
+        return tuple(q for q, _ in self)
 
-    def __iter__(self):
-        return iter(self.pairs)
+    def __repr__(self) -> str:
+        return f"Factorization(pairs={tuple(self)!r})"
 
 
 def _brent(n: int) -> int:
@@ -179,7 +187,7 @@ def factorize(n: int) -> Factorization:
         d = _brent(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(tuple(sorted(found.items())))
+    return Factorization(sorted(found.items()))
 
 
 def totient(f: Factorization) -> int:
@@ -238,8 +246,7 @@ def legendre(n: int, d: int) -> int:
     return 1 if r == 1 else -1
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """n = q**v * u with q not dividing u; u keeps the sign of n."""
 
     v: int
@@ -267,28 +274,32 @@ def valuation(n: int, q: int) -> Valuation:
 # closed forms for Phi_d mod p
 
 
-@dataclass(frozen=True)
-class CyclotomicQuery:
-    """A pair (d, p): which cyclotomic, reduced mod which prime."""
-
+class _CyclotomicQueryFields(NamedTuple):
     d: int
     p: int
 
-    def __post_init__(self):
-        if self.d < 2:
+
+class CyclotomicQuery(_CyclotomicQueryFields):
+    """A pair (d, p): which cyclotomic, reduced mod which prime."""
+
+    __slots__ = ()
+
+    # unpickling calls __new__ too; _make and _replace skip it, so nothing calls them
+    def __new__(cls, d: int, p: int):
+        if d < 2:
             raise ValueError("need d >= 2")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if math.gcd(self.p, self.d) != 1:
-            raise ValueError(f"p = {self.p} divides d = {self.d}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if math.gcd(p, d) != 1:
+            raise ValueError(f"p = {p} divides d = {d}")
+        return super().__new__(cls, d, p)
 
     @property
     def d_is_prime(self) -> bool:
         return is_prime(self.d)
 
 
-@dataclass(frozen=True)
-class FactorCountReport:
+class FactorCountReport(NamedTuple):
     """Count and shape of the irreducible factors of a reduced cyclotomic.
 
     count * degree_each = phi(d); all factors share degree ord_d(p).
@@ -328,8 +339,7 @@ def count_irreducible_factors(q: CyclotomicQuery) -> FactorCountReport:
     return FactorCountReport(q.d, q.p, count, order, parity, check)
 
 
-@dataclass(frozen=True)
-class SelfReciprocalReport:
+class SelfReciprocalReport(NamedTuple):
     """Evidence for/against a self-reciprocal irreducible factor.
 
     exists is decided by whether -1 lies in the powers of p mod d,

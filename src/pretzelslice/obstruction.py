@@ -34,8 +34,7 @@ stated witness and compares, so verifying factors no polynomial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import numth
 from . import pretzel
@@ -55,8 +54,7 @@ TAG_PARITY = "legendre_parity"
 TAG_SELF_RECIPROCAL = "self_reciprocal_factor"
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """A candidate (p, d): p prime dividing (a+1)/2, d > 1 dividing a or a+2."""
 
     p: int
@@ -110,8 +108,7 @@ STATUS_SELF_RECIPROCAL = "self_reciprocal_failed"
 STATUS_PASS = "pass"
 
 
-@dataclass(frozen=True)
-class PairOutcome:
+class PairOutcome(NamedTuple):
     """check_pair result: the first failing condition, with the numbers."""
 
     pair: WitnessPair
@@ -190,8 +187,7 @@ def theorem_tags(a: int) -> Tuple[str, ...]:
     return tuple(tags)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Self-contained verdict for one a, re-verifiable from evidence alone."""
 
     a: int
@@ -475,8 +471,7 @@ def self_reciprocal_witness(a: int) -> Tuple[WitnessPair, Dict]:
 # range scans
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     a: int
     verdict: str
     p: Optional[int]
@@ -484,8 +479,7 @@ class ScanRow:
     reason: str
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     lo: int
     hi: int
     modulus: Optional[int]
@@ -534,6 +528,7 @@ def scan(
     """Decide every matching odd a in [lo, hi] and aggregate one row each.
 
     The optional filter keeps only a with a mod modulus in residues.
+    A kept a above `max_a` is refused (ValueError) before any is decided.
     Rows are ordered by a regardless of worker scheduling, so reports
     are byte-stable for a fixed configuration.  Each a costs one
     `decide`, and a row's witness d, when there is one, is prime
@@ -563,6 +558,8 @@ def scan(
         a for a in range(lo | 1, hi + 1, 2)
         if rset is None or a % modulus in rset
     ]
+    if targets and targets[-1] > max_a:
+        pretzel.validate_member(next(a for a in targets if a > max_a), max_a)
     work = [(a, seed, max_a) for a in targets]
     workers = min(jobs, -(-len(work) // _CHUNK))
     if workers <= 1:
@@ -592,7 +589,8 @@ def _stringify(obj):
         return obj
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, (list, tuple)):
+    # by exact type: a record is a tuple, but never a JSON list
+    if type(obj) in (list, tuple):
         return [_stringify(x) for x in obj]
     if isinstance(obj, dict):
         return {k: _stringify(v) for k, v in obj.items()}

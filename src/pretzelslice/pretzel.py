@@ -27,8 +27,7 @@ never happens once every witness pair passes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from . import numth
 from .numth import DEFAULT_SEED, CyclotomicQuery, has_self_reciprocal_factor
@@ -39,15 +38,20 @@ if TYPE_CHECKING:
 DEFAULT_MAX_A = 200_000
 
 
-@dataclass(frozen=True)
-class PretzelKnot:
-    """Family member P(a, -a-2, -(a+1)^2/2) for odd a >= 3."""
-
+class _PretzelKnotFields(NamedTuple):
     a: int
 
-    def __post_init__(self):
-        if not isinstance(self.a, int) or self.a < 3 or self.a % 2 == 0:
-            raise ValueError(f"family parameter must be an odd integer >= 3, got {self.a!r}")
+
+class PretzelKnot(_PretzelKnotFields):
+    """Family member P(a, -a-2, -(a+1)^2/2) for odd a >= 3."""
+
+    __slots__ = ()
+
+    # unpickling calls __new__ too; _make and _replace skip it, so nothing calls them
+    def __new__(cls, a: int):
+        if not isinstance(a, int) or a < 3 or a % 2 == 0:
+            raise ValueError(f"family parameter must be an odd integer >= 3, got {a!r}")
+        return super().__new__(cls, a)
 
     @property
     def strands(self) -> Tuple[int, int, int]:
@@ -132,8 +136,7 @@ def alexander_mod_p(a: int, p: int, max_a: int = DEFAULT_MAX_A) -> ModPoly:
     return _alexander_cached(a).reduce_mod(p)
 
 
-@dataclass(frozen=True)
-class PartCheck:
+class PartCheck(NamedTuple):
     """Whether one cyclotomic part C_d mod p has a self-reciprocal factor."""
 
     d: int
@@ -141,8 +144,7 @@ class PartCheck:
     exists: bool
 
 
-@dataclass(frozen=True)
-class FoxMilnorStatus:
+class FoxMilnorStatus(NamedTuple):
     """Fox-Milnor verdict for one reduction, decided part by part.
 
     offenders lists exhibited self-reciprocal irreducible factors of the

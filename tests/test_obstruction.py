@@ -365,6 +365,26 @@ def test_scan_validation():
         ob.scan(3, 9, jobs=0)
 
 
+def test_scan_refuses_a_target_past_max_a_before_deciding(monkeypatch):
+    calls = []
+    real = ob.decide
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ob, "decide", counted)
+    with pytest.raises(ValueError, match="a = 60001 exceeds the configured bound 60000"):
+        ob.scan(3, 60001, max_a=60000)
+    assert calls == []  # not even the 29,999 values below the bound
+    with pytest.raises(ValueError, match="a = 121 exceeds"):
+        ob.scan(3, 200, modulus=120, residues=(1, 97), max_a=120)
+    assert calls == []
+    # the targets are checked, not hi: 97 and 121 are kept, 131 is not
+    rep = ob.scan(3, 131, modulus=120, residues=(1, 97), max_a=121)
+    assert [r.a for r in rep.rows] == calls == [97, 121]
+
+
 def test_inconclusive_set_confined_to_the_known_residues():
     rep = ob.scan(900, 1200)
     assert rep.inconclusive == (1081,)
