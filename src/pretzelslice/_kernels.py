@@ -18,7 +18,7 @@ Which path a call takes depends on the operand lengths:
   through `mul_mod`, once the divisor has degree at least `_DIV_SHORT`
   and the quotient at least `_NEWTON_MIN` coefficients; a plain Python
   loop otherwise.  The choice looks at the shapes only, since both
-  routes are exact at any p;
+  routes are exact at any p.  `_divrem_newton` reuses a kept reciprocal;
 * gcd: Euclid on int64 arrays held across steps once both inputs have
   more than `_DIV_SHORT` coefficients and the int64 bound holds,
   repeated `divrem_mod` otherwise.
@@ -293,7 +293,7 @@ def _reciprocal(f: Sequence[int], k: int, p: int) -> List[int]:
     return g
 
 
-def _divrem_newton(a: List[int], b: List[int], p: int):
+def _divrem_newton(a: Sequence[int], b: Sequence[int], p: int, inv=None):
     """`divrem_mod` for trimmed a, b with deg a >= deg b, by one reciprocal.
 
     With m = deg b and steps = deg a - m + 1, reversal turns a = q b + r
@@ -303,10 +303,12 @@ def _divrem_newton(a: List[int], b: List[int], p: int):
     which only the m low coefficients are nonzero.  Every product goes
     through `mul_mod`, exact at any p, and the subtraction runs on
     Python ints, so this route needs no bound on p.
+
+    A given `inv` = rev(b)^-1 mod t^k, k >= steps, is cut to t^steps.
     """
     m = len(b) - 1
     steps = len(a) - m
-    g = _reciprocal(b[::-1], steps, p)
+    g = _reciprocal(b[::-1], steps, p) if inv is None else inv[:steps]
     q = mul_mod(a[m:][::-1], g, p)[steps - 1 :: -1]
     low = mul_mod(q[:m], b[:m], p)
     return q, trim([(x - y) % p for x, y in zip(a[:m], low)])

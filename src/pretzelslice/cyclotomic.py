@@ -84,8 +84,8 @@ def reduced(q: CyclotomicQuery) -> ModPoly:
 # oracle routes: answer the same questions by actually factoring
 
 # bounded memo large enough for the whole acceptance grid (2326 pairs),
-# which criteria 4 and 5 walk one after the other
-@functools.lru_cache(maxsize=4096)
+# which criteria 4 and 5 walk one after the other; typed, as in `numth`
+@functools.lru_cache(maxsize=4096, typed=True)
 def factor_cyclotomic_oracle(
     q: CyclotomicQuery, seed: int = _factor.DEFAULT_SEED
 ) -> _factor.FactorMultiset:
@@ -117,7 +117,7 @@ def factor_count_oracle(q: CyclotomicQuery) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024, typed=True)
 def self_reciprocal_factor_oracle(
     q: CyclotomicQuery,
     seed: int = _factor.DEFAULT_SEED,

@@ -11,7 +11,8 @@ order or process layout.
 Divisors of t^n - 1 admit much faster arithmetic.  The Frobenius
 x -> x^p permutes the coefficients of F_p[t]/(t^n - 1), so elements
 constant on its orbits are fixed and take values in F_p modulo every
-factor: equal-degree splitting draws those and needs no norm.  The
+factor: equal-degree splitting draws those, powers them in orbit values
+and reduces down each class's tree of splits, with no norm.  The
 Frobenius gcds of distinct-degree splitting and of Rabin's test
 collapse to gcds with t^g - 1 for divisors g of n.  The ``*_cyclic``
 entry points validate the divisor claim once on entry and verify
@@ -475,6 +476,89 @@ def _ring_pow(x: np.ndarray, e: int, n: int, p: int) -> np.ndarray:
     return acc
 
 
+def _orbit_table(label: np.ndarray, m: int) -> np.ndarray:
+    """T[C, i] = label[(r_C - i) mod n] for one index r_C of each orbit C."""
+    n = len(label)
+    reps = np.empty(m, dtype=np.intp)
+    reps[label] = np.arange(n)  # whichever index of C lands last serves
+    return label[(reps[:, None] - np.arange(n)) % n]
+
+
+def _orbit_pow(c: np.ndarray, e: int, table: np.ndarray, label: np.ndarray, p: int) -> np.ndarray:
+    """x^e for e >= 1 and Frobenius-fixed x = c[label], in orbit values.
+
+    A product yz of fixed elements is fixed, so its values c' at the r_C
+    give it as c'[label], and c'_C = sum_i y_i z[(r_C - i) mod n] =
+    np.dot(z[table], y[label])[C]: m x n entries, not n x n.  Row
+    sums reach n (p-1)^2, `_k.mul_cyclic_mod`'s int64 bound; past it
+    they run on Python ints.
+    """
+    if len(label) * (p - 1) ** 2 >= _k._I64_SAFE:
+        c = c.astype(object)
+    base = c[table]
+    acc = c
+    for bit in bin(e)[3:]:
+        acc = np.dot(acc[table], acc[label]) % p
+        if bit == "1":
+            acc = np.dot(base, acc[label]) % p
+    return acc
+
+
+# Orbit values while the table's m * n entries are at most this many (also
+# its memory bound); past it the ring was faster on the grid (BENCH_20.json).
+_ORBIT_CELLS = 30000
+
+
+class _Node:
+    """A piece of a degree class in its split tree (see `_edf_cyclic`)."""
+
+    __slots__ = ("poly", "kids", "open", "inv")
+
+    def __init__(self, poly: ModPoly):
+        self.poly = poly
+        self.kids: Optional[List[_Node]] = None  # None for a leaf
+        self.open = True  # a pending piece, or an ancestor of one
+        self.inv = None  # rev(poly)^-1 mod t^(deg parent - deg poly), once taken
+
+
+def _rem_below(r: ModPoly, node: _Node, above: int) -> ModPoly:
+    """r mod node.poly for deg r < above = deg parent.  The reciprocal at
+    precision above - deg node, where `divrem_mod`'s rule takes it, is kept."""
+    b = node.poly.coeffs
+    m = len(b) - 1
+    if len(r.coeffs) <= m:
+        return r
+    if node.inv is None and m >= _k._DIV_SHORT and above - m >= _k._NEWTON_MIN:
+        node.inv = _k._reciprocal(b[::-1], above - m, r.p)
+    if node.inv is None:
+        return r.divrem(node.poly)[1]
+    return ModPoly._of(r.p, _k._divrem_newton(r.coeffs, b, r.p, node.inv)[1])
+
+
+def _refine(root: _Node, w: ModPoly, k: int, done: List[Tuple[ModPoly, int]]):
+    """One round on class k's tree: gcd each pending leaf with w mod itself."""
+    seen = []  # parents before children
+    stack = [(root, w.divrem(root.poly)[1])]
+    while stack:
+        node, r = stack.pop()
+        seen.append(node)
+        if node.kids is not None:
+            for kid in reversed(node.kids):
+                if kid.open:
+                    stack.append((kid, _rem_below(r, kid, node.poly.degree)))
+            continue
+        g = node.poly.gcd(r)
+        if 0 < g.degree < node.poly.degree:
+            node.kids = [_Node(g.monic()), _Node(node.poly.divrem(g)[0].monic())]
+            for kid in node.kids:
+                if kid.poly.degree == k:
+                    done.append((kid.poly, k))
+                    kid.open = False
+    for node in reversed(seen):
+        if node.kids is not None:
+            node.open = any(kid.open for kid in node.kids)
+
+
 def _edf_cyclic(
     pieces: List[Tuple[ModPoly, int]],
     n: int,
@@ -500,55 +584,55 @@ def _edf_cyclic(
     x^((p-1)/2) - 1 vanishes mod g with the Cantor-Zassenhaus odds:
     gcd(piece, w) splits two factors with probability >= 4/9.  The
     caller verifies every output, whichever element found it.
+
+    The power stays in orbit values while orbits are few (`_orbit_pow`):
+    the Frobenius is a ring map, so a product of fixed elements is fixed
+    and is determined by its value at one index per orbit.
+
+    Each class keeps the tree of its splits: the root is the class
+    product, a piece that split has its two parts as children.  A round
+    reduces w mod the root once and passes remainders down only into
+    subtrees holding a pending leaf (`_refine`), which is exact as a
+    child divides its parent: (w mod parent) mod child = w mod child.
+    Leaves are visited left to right, the order a flat list of pieces
+    refined in place would have, so factors are found, and a `limit`
+    search stops, in that order.
     """
     done: List[Tuple[ModPoly, int]] = []
-    pending: Dict[int, List[ModPoly]] = {}
-    anchor: Dict[int, ModPoly] = {}
+    product: Dict[int, ModPoly] = {}
     for piece, k in pieces:
         if piece.degree == k:
             done.append((piece, k))
         else:
-            pending.setdefault(k, []).append(piece)
-            anchor[k] = piece if k not in anchor else anchor[k] * piece
-    total = sum(c.degree for v in pending.values() for c in v)
+            product[k] = piece if k not in product else product[k] * piece
+    roots = {k: _Node(P) for k, P in product.items()}
+    total = sum(P.degree for P in product.values())
     rng = CounterRng(seed, "edf-cyclic", p, n, total)
     label, orbits = _frobenius_orbits(n, p)
+    e = (p - 1) // 2
+    # the power is x itself at p = 3, and p = 2 takes none
+    table = _orbit_table(label, orbits) if e > 1 and orbits * n <= _ORBIT_CELLS else None
     rounds = 0
-    while pending:
+    while roots:
         if limit is not None and len(done) >= limit:
             break
         rounds += 1
         if rounds > 64 + 8 * max(1, total.bit_length()):
             raise ArithmeticError("cyclic equal-degree split stalled")  # pragma: no cover
-        x = np.array(rng.coeffs(orbits, p), dtype=_k.cyclic_dtype(p))[label]
+        c = np.array(rng.coeffs(orbits, p), dtype=_k.cyclic_dtype(p))
         if p == 2:
-            w = x.tolist()
+            w = c[label].tolist()
         else:
-            # the power is x itself at p = 3: subtract in the list
-            w = _ring_pow(x, (p - 1) // 2, n, p).tolist()
+            if table is None:
+                w = _ring_pow(c[label], e, n, p).tolist()
+            else:
+                w = _orbit_pow(c, e, table, label, p)[label].tolist()
             w[0] = (w[0] - 1) % p
         w = ModPoly._of(p, _k.trim(w))
-        for k in list(pending):
-            # one reduction from ring size down to the class product,
-            # then cheap per-piece reductions from there
-            wred = w.divrem(anchor[k])[1]
-            still: List[ModPoly] = []
-            for piece in pending[k]:
-                g = piece.gcd(wred.divrem(piece)[1])
-                if 0 < g.degree < piece.degree:
-                    h = piece.divrem(g)[0].monic()
-                    for part in (g.monic(), h):
-                        if part.degree == k:
-                            done.append((part, k))
-                        else:
-                            still.append(part)
-                else:
-                    still.append(piece)
-            if still:
-                pending[k] = still
-            else:
-                del pending[k]
-                del anchor[k]
+        for k, root in list(roots.items()):
+            _refine(root, w, k, done)
+            if not root.open:
+                del roots[k]
     return done
 
 

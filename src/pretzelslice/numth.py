@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import List, NamedTuple, Optional, Tuple
 
 # Seed recorded in certificates and keying the factorization oracle's
@@ -61,6 +62,7 @@ def is_prime(n: int) -> bool:
     >>> [k for k in range(2, 20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
+    n = operator.index(n)  # on a memo miss only: the hit path stays bare
     if n < 1:
         raise ValueError("is_prime wants a positive integer")
     if n >= _LIMIT:
@@ -161,6 +163,7 @@ def factorize(n: int) -> Factorization:
     >>> factorize(63).pairs
     ((3, 2), (7, 1))
     """
+    n = operator.index(n)  # as in is_prime
     if n < 1:
         raise ValueError("factorize wants a positive integer")
     if n >= _LIMIT:
@@ -315,8 +318,9 @@ class FactorCountReport(NamedTuple):
     legendre_check: Optional[int]
 
 
-# bounded memo: building a certificate asks about each (d, p) repeatedly
-@functools.lru_cache(maxsize=512)
+# bounded memo: building a certificate asks about each (d, p) repeatedly;
+# typed, as a query equals the plain tuple of its fields, which must miss
+@functools.lru_cache(maxsize=512, typed=True)
 def count_irreducible_factors(q: CyclotomicQuery) -> FactorCountReport:
     """Closed-form factor count of the reduced cyclotomic: phi(d)/ord_d(p).
 
@@ -361,7 +365,7 @@ class SelfReciprocalReport(NamedTuple):
     routes_agree: Optional[bool]
 
 
-@functools.lru_cache(maxsize=512)  # bounded memo, as above
+@functools.lru_cache(maxsize=512, typed=True)  # bounded and typed, as above
 def has_self_reciprocal_factor(q: CyclotomicQuery) -> SelfReciprocalReport:
     """Does the reduced cyclotomic have a self-reciprocal irreducible factor?
 

@@ -96,6 +96,17 @@ def test_query_validation():
     assert CyclotomicQuery(7, 2).d_is_prime
 
 
+@pytest.mark.parametrize("memo", [count_irreducible_factors, has_self_reciprocal_factor,
+                                  factor_cyclotomic_oracle, self_reciprocal_factor_oracle])
+def test_query_memos_refuse_a_plain_tuple_even_once_cached(memo):
+    # a CyclotomicQuery hashes and compares equal to the tuple of its
+    # fields, so an untyped memo answered (7, 2) once (7, 2) was cached
+    assert memo(CyclotomicQuery(7, 2)) == memo(CyclotomicQuery(7, 2))
+    for plain in ((7, 2), (11, 2)):
+        with pytest.raises(AttributeError):
+            memo(plain)
+
+
 def test_reduced_is_squarefree():
     for d, p in ((7, 2), (9, 2), (15, 2), (49, 5), (121, 3)):
         f = reduced(CyclotomicQuery(d, p))

@@ -635,6 +635,68 @@ def test_frobenius_fixed_elements_take_every_value_tuple(p, n):
     assert len(values) == p ** m
 
 
+def test_orbit_pow_is_the_ring_pow():
+    """A product of fixed elements is fixed, so the power taken in orbit
+    values and expanded by the labels is the ring power."""
+    rng = random.Random(20)
+    for p in (2, 3, 5, 7, 97):
+        for n in range(1, 61):
+            if n % p == 0:
+                continue
+            label, m = factor_mod._frobenius_orbits(n, p)
+            table = factor_mod._orbit_table(label, m)
+            # row C reads the labels backwards from an index of orbit C
+            for row in table.tolist():
+                r = [i for i in range(n) if label[i] == row[0]]
+                assert any(row == [label[(j - i) % n] for i in range(n)] for j in r), (p, n)
+            for e in sorted({1, 2, 3, max(1, (p - 1) // 2), p, 70}):
+                c = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
+                keep = c.copy()
+                got = factor_mod._orbit_pow(c, e, table, label, p)
+                assert got.dtype == np.int64 and len(got) == m
+                want = factor_mod._ring_pow(c[label], e, n, p)
+                assert got[label].tolist() == want.tolist(), (p, n, e)
+                assert (c == keep).all()
+
+
+def _power_routes(monkeypatch):
+    """Record which power `_edf_cyclic` takes, by name."""
+    calls = []
+    for name in ("_ring_pow", "_orbit_pow"):
+        def spied(*args, _name=name, _orig=getattr(factor_mod, name)):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(factor_mod, name, spied)
+    return calls
+
+
+def test_power_route_switches_at_the_table_size(monkeypatch):
+    """Phi_31 mod 5 has m = 7 orbits on n = 31 coefficients: orbit values
+    with a cutoff of m * n entries, the ring one entry below it."""
+    label, m = factor_mod._frobenius_orbits(31, 5)
+    f = reduced(CyclotomicQuery(31, 5))
+    want = factor(f)
+    calls = _power_routes(monkeypatch)
+    for cells, route in ((m * 31, "_orbit_pow"), (m * 31 - 1, "_ring_pow")):
+        monkeypatch.setattr(factor_mod, "_ORBIT_CELLS", cells)
+        del calls[:]
+        assert factor_cyclic(f, 31) == want
+        assert calls and set(calls) == {route}, cells
+
+
+@pytest.mark.parametrize("d, p, route", [
+    (487, 41, "_orbit_pow"),  # 55 orbits: 26785 entries, the largest timed below
+    (307, 17, "_ring_pow"),  # 103 orbits: 31621 entries, the smallest timed above
+])
+def test_grid_pairs_next_to_the_cutoff_take_the_timed_route(d, p, route, monkeypatch):
+    label, m = factor_mod._frobenius_orbits(d, p)
+    assert (m * d <= factor_mod._ORBIT_CELLS) == (route == "_orbit_pow")
+    f = reduced(CyclotomicQuery(d, p))
+    calls = _power_routes(monkeypatch)
+    assert factor_cyclic(f, d).product() == f
+    assert calls and set(calls) == {route}
+
+
 @pytest.mark.parametrize("n, p", [(1, 5), (7, 29), (64, 3), (300, 97)])
 def test_ring_pow_is_the_repeated_product(n, p):
     rng = random.Random(n + p)
@@ -714,6 +776,16 @@ def test_ring_is_exact_past_int64(p):
     fixed = factor_mod._ring_pow(x, p, n, p)
     assert fixed.dtype == x.dtype and fixed.tolist() == keep
     assert x.tolist() == keep
+    # the same powers in orbit values: n (p-1)^2 is past int64 at each p,
+    # so the row sums run on Python ints, also where x is int64
+    label, m = factor_mod._frobenius_orbits(n, p)
+    c = np.empty(m, dtype=x.dtype)
+    c[label] = x
+    table = factor_mod._orbit_table(label, m)
+    got = factor_mod._orbit_pow(c, 5, table, label, p)
+    assert got.dtype == object and got[label].tolist() == power
+    assert factor_mod._orbit_pow(c, p, table, label, p)[label].tolist() == keep
+    assert x.tolist() == keep
 
 
 @pytest.mark.parametrize("f, n", [
@@ -723,22 +795,106 @@ def test_ring_is_exact_past_int64(p):
     (reduced(CyclotomicQuery(7, 29)), 7),
 ])
 def test_factor_cyclic_leaves_the_random_element_alone(f, n, monkeypatch):
-    """The power and the subtraction of 1 write into no array that x is,
-    and x is Frobenius-fixed."""
+    """The power and the subtraction of 1 write into no array that x (or
+    its orbit values) is, and x is Frobenius-fixed, on either route."""
     assert factor_cyclic(f, n) == factor(f)
     seen = []
     orig = factor_mod._ring_pow
+    orbit = factor_mod._orbit_pow
 
     def recorded(x, e, n_, p):
-        seen.append((x, x.copy()))
+        seen.append((x, x.copy(), x))
         return orig(x, e, n_, p)
 
+    def orbit_recorded(c, e, table, label, p):
+        seen.append((c, c.copy(), c[label]))
+        return orbit(c, e, table, label, p)
+
     monkeypatch.setattr(factor_mod, "_ring_pow", recorded)
+    monkeypatch.setattr(factor_mod, "_orbit_pow", orbit_recorded)
     assert factor_cyclic(f, n, seed=5) == factor(f)
     assert seen
-    assert all((x == snapshot).all() for x, snapshot in seen)
+    assert all((a == snapshot).all() for a, snapshot, _ in seen)
     p = f.p
-    assert all(orig(x, p, n, p).tolist() == x.tolist() for x, _ in seen)
+    assert all(orig(x, p, n, p).tolist() == x.tolist() for _, _, x in seen)
+
+
+M61 = (1 << 61) - 1
+
+
+@pytest.mark.parametrize("p, n, k", [(2, 255, 8), (97, 96, 1), (M61, 90, 1)])
+def test_split_tree_remainders_are_the_direct_ones(p, n, k, monkeypatch):
+    """Every pending leaf is gcd'ed with w mod itself, though w is reduced
+    only down the leaf's path, and each node reduces by a reciprocal it
+    keeps from round to round as a fresh division would."""
+    parts = [g for g, _ in factor_cyclic(_tn1(p, n), n) if g.degree == k]
+    assert len(parts) >= 30
+
+    def tree(ps):  # halves down to leaves of at most 4 factors
+        node = factor_mod._Node(_prod(ps))
+        if len(ps) > 4:
+            node.kids = [tree(ps[: len(ps) // 2]), tree(ps[len(ps) // 2 :])]
+        return node
+
+    leaves, reduced_by = [], []
+    gcd, rem_below = ModPoly.gcd, factor_mod._rem_below
+
+    def leaf_gcd(self, other):
+        leaves.append((self, other))
+        return gcd(self, other)
+
+    def recorded(r, node, above):
+        kept = node.inv
+        out = rem_below(r, node, above)
+        reduced_by.append((r, node, kept is not None and node.inv is kept, out))
+        return out
+
+    monkeypatch.setattr(ModPoly, "gcd", leaf_gcd)
+    monkeypatch.setattr(factor_mod, "_rem_below", recorded)
+    root = tree(parts)
+    rng = random.Random(n)
+    reused = 0
+    for _ in range(3):
+        w = ModPoly(p, [rng.randrange(p) for _ in range(n)])
+        del leaves[:], reduced_by[:]
+        done = []
+        factor_mod._refine(root, w, k, done)
+        assert leaves and all(r == w.divrem(leaf)[1] for leaf, r in leaves)
+        for r, node, was_kept, out in reduced_by:
+            assert out == r.divrem(node.poly)[1]
+            reused += was_kept
+        assert all(g.degree == k and _prod(parts).divrem(g)[1].is_zero() for g, _ in done)
+    if p != 97:
+        assert reused  # deg >= 16 with precision >= 32: p = 97 has none
+
+
+def test_exhibited_self_reciprocal_factors_are_pinned():
+    """The factor `self_reciprocal_search` exhibits (the `limit` path), for
+    `inspect alexander` with a = 3, 15, 1081 at their reduction primes, and
+    over every (a, p) with odd a < 200 and p | (a+1)/2, as at the commit
+    before the split tree."""
+    from pretzelslice.pretzel import fox_milnor_status
+
+    def exhibited(a, p):
+        out = []
+        for m in (a, a + 2):
+            for d in range(3, m + 1):
+                q = CyclotomicQuery(d, p) if m % d == 0 else None
+                if q and numth.has_self_reciprocal_factor(q).exists:
+                    out.append((d, self_reciprocal_search(reduced(q), d).factor.coeffs))
+        return out
+
+    assert exhibited(3, 2) == [(3, (1, 1, 1)), (5, (1, 1, 1, 1, 1))]
+    assert exhibited(15, 2) == [(3, (1, 1, 1)), (5, (1, 1, 1, 1, 1)),
+                                (17, (1, 0, 0, 1, 1, 1, 0, 0, 1))]
+    assert exhibited(1081, 541) == []
+    h = hashlib.sha256()
+    for a in range(3, 200, 2):
+        for p in range(2, (a + 1) // 2 + 1):
+            if numth.is_prime(p) and (a + 1) // 2 % p == 0:
+                shown = [(g.coeffs, m) for g, m in fox_milnor_status(a, p).offenders]
+                h.update(repr((a, p, shown)).encode())
+    assert h.hexdigest() == "8bf1dcf45f092b85c955dcd4e6b40ffc186021e64ab3a28285024c9b85807182"
 
 
 def test_distinct_degree_cyclic_takes_no_gcd_with_t_n_minus_1(monkeypatch):

@@ -330,6 +330,21 @@ def test_divrem_at_the_newton_cutoff(p, shape, monkeypatch):
         assert len(newton) == newton_taken(m, steps)
 
 
+@pytest.mark.parametrize("p", [2, 97, M61])
+def test_divrem_newton_with_a_kept_reciprocal(p):
+    """A reciprocal taken once at the largest precision serves each later
+    division by the same divisor with a quotient no longer than it."""
+    rng = random.Random(p % 1000 + 20)
+    for m in (_k._DIV_SHORT, 40):
+        b = vec(rng, m + 1, p)
+        kept = _k._reciprocal(b[::-1], 64, p)
+        for steps in (1, 2, 31, 32, 63, 64):
+            a = vec(rng, m + steps, p)
+            want = ref_divrem(a, b, p)
+            assert _k._divrem_newton(a, b, p, kept) == want, (m, steps)
+            assert _k._divrem_newton(a, b, p) == want, (m, steps)
+        assert kept == _k._reciprocal(b[::-1], 64, p)
+
 @pytest.mark.parametrize("p", [2, 3, 97])
 @pytest.mark.parametrize("m", [_k._DIV_SHORT, 300])
 @pytest.mark.parametrize("steps", [_k._KRONECKER_CUTOFF + 1, 600])

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pretzelslice import numth
@@ -69,6 +70,27 @@ def test_is_prime_large_words():
 def test_is_prime_rejects_out_of_range():
     with pytest.raises(ValueError):
         numth.is_prime(1 << 64)
+
+
+def test_is_prime_and_factorize_take_integers_only():
+    # an integral float used to pass: factorize(12.0) gave the factor 3.0
+    numth.is_prime.cache_clear()
+    numth.factorize.cache_clear()
+    for n in (7.0, 12.0, 7.5, "7"):
+        for call in (numth.is_prime, numth.factorize):
+            with pytest.raises(TypeError):
+                call(n)
+    # also once the integer itself is memoized
+    assert numth.is_prime(7) and numth.factorize(12).pairs == ((2, 2), (3, 1))
+    with pytest.raises(TypeError):
+        numth.is_prime(7.0)
+    with pytest.raises(TypeError):
+        numth.factorize(12.0)
+    # anything with __index__ is an integer, and is read as one
+    assert numth.is_prime(np.int64(10007)) and numth.is_prime(True) is False
+    got = numth.factorize(np.int64(1000014))
+    assert got.pairs == numth.factorize(1000014).pairs
+    assert all(type(q) is int for q in got.primes)
 
 
 def test_factorize_examples():
