@@ -1,32 +1,28 @@
 """Alexander polynomials for the pretzel knots P(a, -a-2, -(a+1)^2/2).
 
-The polynomial is never computed from a diagram.  `alexander_poly`
-evaluates the closed form
+The polynomial is never computed from a diagram.  It is
 
-    (t^(a+2) + 1)(t^a + 1) / (t + 1)^2  -  ((a+1)^2/4) t^(a-1) (t-1)^2
+    (t^(a+2) + 1)(t^a + 1) / (t + 1)^2  -  ((a+1)^2/4) t^(a-1) (t-1)^2,
 
-The left quotient equals the product of C_d(-t) over all divisors
-d > 1 of a and of a + 2, where C_d is the d-th cyclotomic polynomial;
-the tests compare the two forms.  For a prime p dividing (a+1)/2 the
-correction term vanishes mod p, and `alexander_mod_p` is the
-coefficient reduction of the integer polynomial.
+whose coefficients `alexander_poly` writes down in closed form.  The
+quotient equals the product of C_d(-t) over all divisors d > 1 of a and
+of a + 2, where C_d is the d-th cyclotomic polynomial; the tests
+compare the three forms.  For a prime p dividing (a+1)/2 the correction
+term vanishes mod p, and `alexander_mod_p` is the coefficient reduction.
 
-Lemma (b) (proved in `fox_milnor_status`): that reduction is the
-squarefree product of its pairwise coprime parts C_d(-t).  So it
-admits a Fox-Milnor factorization iff no part has a self-reciprocal
-irreducible factor, and `fox_milnor_status` decides each part by
-closed form, without building the reduction.
+By Lemma (b) (proved in `fox_milnor_status`) that reduction is the
+squarefree product of its coprime parts C_d(-t), so `fox_milnor_status`
+decides it part by part in closed form, without building it.
 
 The knot parameters and `fox_milnor_status` belong to the arithmetic
 core and import only `numth` at module level.  The polynomial
-functions import `poly` when called, and `fox_milnor_status` reaches
-the factorization oracle only to exhibit an offending factor, which
-never happens once every witness pair passes.
+functions import `poly` when called; `fox_milnor_status` reaches the
+factorization oracle only to exhibit an offending factor h (never, once
+every witness pair passes), and checks h against Delta mod h alone.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from . import numth
@@ -73,44 +69,35 @@ def validate_member(a: int, max_a: int = DEFAULT_MAX_A) -> PretzelKnot:
     return knot
 
 
-def _divisors_over_one(n: int) -> Tuple[int, ...]:
-    return numth.divisors(numth.factorize(n))[1:]
-
-
-@functools.lru_cache(maxsize=32)
-def _alexander_cached(a: int) -> IntPoly:
-    from .poly import IntPoly
-
-    def binomial_plus(n: int) -> IntPoly:
-        # t^n + 1
-        return IntPoly([1] + [0] * (n - 1) + [1])
-
-    quotient = (binomial_plus(a + 2) * binomial_plus(a)).exact_div(
-        IntPoly((1, 2, 1))
-    )
-    # correction term ((a+1)^2 / 4) * t^(a-1) * (t-1)^2
-    c = ((a + 1) // 2) ** 2
-    delta = quotient - IntPoly([c, -2 * c, c]).shift(a - 1)
-    if delta.degree != 2 * a:  # pragma: no cover
-        raise ArithmeticError(f"degree {delta.degree} != 2a at a = {a}")
-    if not delta.is_self_reciprocal():  # pragma: no cover
-        raise ArithmeticError(f"not self-reciprocal at a = {a}")
-    if abs(delta.evaluate(1)) != 1 or abs(delta.evaluate(-1)) != 1:  # pragma: no cover
-        raise ArithmeticError(f"unit evaluations violated at a = {a}")
-    return delta
-
-
 def alexander_poly(a: int, max_a: int = DEFAULT_MAX_A) -> IntPoly:
     """The Alexander polynomial of P(a, -a-2, -(a+1)^2/2), canonical form.
 
-    The standard sanity properties (degree 2a, palindromic, |value| 1
-    at t = +/-1) are enforced.
+    Its t^k coefficient, 0 <= k <= 2a, is (-1)^k min(k+1, a, 2a+1-k),
+    less c, -2c, c at k = a-1, a, a+1, where c = ((a+1)/2)^2.
+
+    Proof.  For odd n, (t^n + 1)/(t + 1) = sum_{i<n} (-t)^i, so the
+    quotient's t^k coefficient is (-1)^k times the number of lattice
+    points on the diagonal i + j = k with 0 <= i <= a+1, 0 <= j <= a-1:
+    min(k, a-1) - max(0, k-a-1) + 1 = min(k+1, a, 2a+1-k).  And
+    c t^(a-1) (t-1)^2 = c t^(a-1) - 2c t^a + c t^(a+1).  QED  The end
+    coefficients are 1, so this is the canonical form; the degree 2a,
+    the palindrome and |value| 1 at t = +/-1 are checked.
 
     >>> alexander_poly(3)
     IntPoly((1, -2, -1, 5, -1, -2, 1))
     """
+    from .poly import IntPoly
+
     validate_member(a, max_a)
-    return _alexander_cached(a)
+    c = ((a + 1) // 2) ** 2
+    coeffs = [*range(1, a + 1), a, *range(a, 0, -1)]
+    coeffs[1::2] = [-m for m in coeffs[1::2]]
+    coeffs[a - 1 : a + 2] = [a - c, 2 * c - a, a - c]  # a - 1 is even
+    delta = IntPoly(coeffs)
+    units = {delta.evaluate(1), delta.evaluate(-1)} <= {1, -1}
+    if delta.degree != 2 * a or not delta.is_self_reciprocal() or not units:  # pragma: no cover
+        raise ArithmeticError(f"degree, palindrome or unit values wrong at a = {a}")
+    return delta
 
 
 def _validate_reduction(a: int, p: int, max_a: int) -> None:
@@ -124,16 +111,15 @@ def _validate_reduction(a: int, p: int, max_a: int) -> None:
 def alexander_mod_p(a: int, p: int, max_a: int = DEFAULT_MAX_A) -> ModPoly:
     """Reduction mod p of the Alexander polynomial, for p | (a+1)/2.
 
-    The coefficient reduction of the integer polynomial; it equals the
-    product of the reduced cyclotomics C_d(-t) over d > 1 dividing a or
-    a + 2, because the correction term has coefficients divisible by
-    p^2 and drops out.
+    The coefficient reduction of `alexander_poly`; p^2 divides the
+    correction's coefficients, so it is also the product of the reduced
+    cyclotomics C_d(-t) over d > 1 dividing a or a + 2.
 
     >>> str(alexander_mod_p(3, 2))
     '1 + t^2 + t^3 + t^4 + t^6'
     """
     _validate_reduction(a, p, max_a)
-    return _alexander_cached(a).reduce_mod(p)
+    return alexander_poly(a, max_a).reduce_mod(p)
 
 
 class PartCheck(NamedTuple):
@@ -157,6 +143,16 @@ class FoxMilnorStatus(NamedTuple):
     admits: bool
     offenders: Tuple[Tuple[ModPoly, int], ...]
     parts: Tuple[PartCheck, ...]
+
+
+def _divides_reduction(a: int, h: ModPoly) -> bool:
+    """Does h divide (t^(a+2) + 1)(t^a + 1) mod p, p = h.p?"""
+    from .factor import _powmod
+    from .poly import ModPoly
+
+    t, one = ModPoly(h.p, (0, 1)), ModPoly(h.p, (1,))
+    n = (_powmod(t, a + 2, h) + one) * (_powmod(t, a, h) + one)
+    return n.divrem(h)[1].is_zero()
 
 
 def fox_milnor_status(
@@ -198,7 +194,11 @@ def fox_milnor_status(
     is asking each C_d mod p.  The lemma's hypothesis, p not dividing
     d, is checked for every part (ArithmeticError if it fails).  Only
     when a part has such a factor is it exhibited, by the polynomial
-    search, and checked to divide the reduction.
+    search, and checked to divide the reduction mod that factor h alone
+    (`_divides_reduction`): mod p, Delta (t+1)^2 = (t^(a+2)+1)(t^a+1)
+    as the correction vanishes, and h = g(-t), g an irreducible factor
+    of C_d, is irreducible of even degree (self-reciprocal, and not
+    t +/- 1: its roots are -z, z of odd order d > 1), so prime to t + 1.
 
     >>> fox_milnor_status(3, 2).admits
     False
@@ -206,10 +206,9 @@ def fox_milnor_status(
     ['1 + t + t^2', '1 + t + t^2 + t^3 + t^4']
     """
     _validate_reduction(a, p, max_a)
-    parts = []
-    offenders = []
+    parts, offenders = [], []
     for n, source in ((a, "a"), (a + 2, "a+2")):
-        for d in _divisors_over_one(n):
+        for d in numth.divisors(numth.factorize(n))[1:]:
             if d % p == 0:
                 raise ArithmeticError(f"p = {p} divides the part index d = {d}")
             q = CyclotomicQuery(d, p)
@@ -225,7 +224,7 @@ def fox_milnor_status(
                     raise ArithmeticError(f"closed form and search disagree at d = {d}, p = {p}")
                 if shown.factor is not None:
                     h = shown.factor.substitute_neg().monic()
-                    if not alexander_mod_p(a, p, max_a).divrem(h)[1].is_zero():  # pragma: no cover
+                    if not _divides_reduction(a, h):
                         raise ArithmeticError("offending factor does not divide the reduction")
                     offenders.append((h, 1))
     admits = not any(c.exists for c in parts)

@@ -106,6 +106,8 @@ def test_fox_milnor_flagship():
 def test_fox_milnor_routes_agree():
     # the part-by-part closed form against a full factorization of the
     # reduction (the reference oracle)
+    seen = {}  # p -> every offender exhibited so far at that p
+    answers = set()
     for a in range(3, 90, 2):
         for p in PretzelKnot(a).reduction_primes():
             st = fox_milnor_status(a, p)
@@ -117,6 +119,38 @@ def test_fox_milnor_routes_agree():
             # Lemma (b): the reduction is squarefree, as fox_milnor_status
             # assumes without running this gcd
             assert delta_bar.gcd(delta_bar.derivative()).degree == 0, (a, p)
+            # the check mod h against division of the built reduction, on
+            # this a's offenders (which divide) and earlier ones (some not)
+            seen.setdefault(p, set()).update(g for g, _ in st.offenders)
+            for h in seen[p]:
+                divides = delta_bar.divrem(h)[1].is_zero()
+                assert pretzel._divides_reduction(a, h) == divides, (a, p, h)
+                answers.add(divides)
+    assert answers == {True, False}
+
+
+def test_fox_milnor_offender_check_can_fail(monkeypatch):
+    # a = 11, p = 2: C_11 mod 2 has a self-reciprocal factor (2^5 = -1 mod
+    # 11), but t^2 + t + 1, of order 3, divides neither t^13 + 1 nor t^11 + 1
+    wrong = factor.SelfReciprocalSearch(True, 1, 3, 2, ModPoly(2, (1, 1, 1)))
+    monkeypatch.setattr(factor, "self_reciprocal_search", lambda *args: wrong)
+    assert not pretzel._divides_reduction(11, wrong.factor)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        fox_milnor_status(11, 2)
+
+
+def test_alexander_at_large_a_against_the_quotient_mod_a_prime():
+    # Delta(x) mod q by Horner, against the defining quotient built from
+    # pow alone, at the top of the default range
+    a, q = 199999, (1 << 61) - 1
+    coeffs = alexander_poly(a).coeffs
+    c = ((a + 1) // 2) ** 2
+    for x in (2, 3):
+        acc = 0
+        for coef in reversed(coeffs):
+            acc = (acc * x + coef) % q
+        quotient = (pow(x, a + 2, q) + 1) * (pow(x, a, q) + 1) * pow(x + 1, -2, q)
+        assert acc == (quotient - c * pow(x, a - 1, q) * (x - 1) ** 2) % q, x
 
 
 @pytest.mark.parametrize("a,p", SURVIVOR_REDUCTIONS)
@@ -137,7 +171,7 @@ def test_structured_route_never_builds_the_reduction(monkeypatch):
         raise AssertionError("a polynomial was built or searched")
 
     monkeypatch.setattr(pretzel, "alexander_mod_p", refuse)
-    monkeypatch.setattr(pretzel, "_alexander_cached", refuse)
+    monkeypatch.setattr(pretzel, "alexander_poly", refuse)
     monkeypatch.setattr(factor, "self_reciprocal_search", refuse)
     for a, p in SURVIVOR_REDUCTIONS:
         assert fox_milnor_status(a, p).admits
