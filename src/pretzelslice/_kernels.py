@@ -13,7 +13,9 @@ Which path a call takes depends on the operand lengths:
   most `_KRONECKER_CUTOFF`, Kronecker packing beyond (and whenever the
   int64 bound fails); the product in the cyclic ring F_p[t]/(t^n - 1)
   takes the last two only, arrays in and an array out (int64 for
-  p < 2^63, Python ints beyond), and folds before it reduces;
+  p < 2^63, Python ints beyond), and folds before it reduces; over the
+  integers (`mul_int`) `np.convolve` at any length while the int64
+  bound holds, schoolbook otherwise;
 * division: a reciprocal by Newton iteration, with every product
   through `mul_mod`, once the divisor has degree at least `_DIV_SHORT`
   and the quotient at least `_NEWTON_MIN` coefficients; a plain Python
@@ -199,37 +201,18 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     return np.array(_unpack(x, width, n, p), dtype=dtype)
 
 
-def _split_sign(cs: Sequence[int]):
-    pos = [c if c > 0 else 0 for c in cs]
-    neg = [-c if c < 0 else 0 for c in cs]
-    return pos, neg
-
-
 def mul_int(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Exact product over the integers, not trimmed."""
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
-    if la <= _TINY and lb <= _TINY:
-        return _mul_school(a, b)
-    ha = max(abs(c) for c in a)
-    hb = max(abs(c) for c in b)
-    bound = min(la, lb) * ha * hb
-    if bound < _I64_SAFE:
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return out.tolist()
-    # Kronecker with a sign split: four nonnegative products.  At most one
-    # of a_i^+ b_j^+ and a_i^- b_j^- is nonzero, so each sum of two still
-    # has coefficients in [0, bound].
-    n = la + lb - 1
-    width = _width(bound)
-    ap, an = _split_sign(a)
-    bp, bn = _split_sign(b)
-    xap, xan = _pack(ap, width), _pack(an, width)
-    xbp, xbn = _pack(bp, width), _pack(bn, width)
-    plus = _unpack(xap * xbp + xan * xbn, width, n, 0)
-    minus = _unpack(xap * xbn + xan * xbp, width, n, 0)
-    return [u - v for u, v in zip(plus, minus)]
+    if la > _TINY or lb > _TINY:
+        ha = max(abs(c) for c in a)
+        hb = max(abs(c) for c in b)
+        if min(la, lb) * ha * hb < _I64_SAFE:
+            out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+            return out.tolist()
+    return _mul_school(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,6 @@ def write_scan_files(report: obstruction.ScanReport, prefix: str):
 
 
 def cmd_scan(args, cfg: Config) -> int:
-    if (args.mod is None) != (args.residues is None):
-        raise ValueError("--mod and --residues must be given together")
     residues = None if args.residues is None else _parse_residues(args.residues)
     report = obstruction.scan(
         args.lo, args.hi,
@@ -199,15 +197,18 @@ def _inspect_alexander(args, cfg: Config) -> int:
         delta = pretzel.alexander_poly(args.a, cfg.max_a)
         print(f"Delta_{args.a}(t) = {delta}")
         return EXIT_OK
-    status = pretzel.fox_milnor_status(args.a, args.p, cfg.seed, max_a=cfg.max_a)
+    # the factorization oracle exhibits the offenders; `check` and `scan` never load it
+    from .cyclotomic import fox_milnor_offenders
+
+    status = pretzel.fox_milnor_status(args.a, args.p, max_a=cfg.max_a)
     delta_bar = pretzel.alexander_mod_p(args.a, args.p, cfg.max_a)
     print(f"Delta_{args.a}(t) mod {args.p} = {delta_bar}")
     print(f"cyclotomic parts Phi_d(-t) (`inspect cyclotomic D {args.p}` factors Phi_d):")
     for c in status.parts:
         state = "has a self-reciprocal factor" if c.exists else "clean"
         print(f"  d={c.d} (divides {c.source}): {state}")
-    for g, m in status.offenders:
-        print(f"  offending factor ({g})^{m}")
+    for h in fox_milnor_offenders(status, cfg.seed):
+        print(f"  offending factor ({h})^1")  # multiplicity 1, by Lemma (b)
     verdict = "admits" if status.admits else "does not admit"
     print(f"the reduction {verdict} a Fox-Milnor style factorization")
     return EXIT_OK

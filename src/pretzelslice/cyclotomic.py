@@ -17,15 +17,18 @@ alike, in `numth` (`count_irreducible_factors`,
 pipeline and certificate verification need nothing else, and `numth`
 imports no polynomial code.  This module is the oracle layer.  It
 builds Phi_d, reduces it mod p, and answers the same questions by
-actually factoring; the oracles serve tests and `inspect`.  It
-re-exports the closed forms as the same objects, so that oracle and
-closed form are asked side by side from one place and a wrapper put
-on `cyclotomic.count_irreducible_factors` reaches every caller.
+actually factoring; the oracles serve tests and `inspect`, and
+`fox_milnor_offenders` exhibits the offending factors behind a
+`pretzel.fox_milnor_status` that does not admit.  It re-exports the
+closed forms as the same objects, so that oracle and closed form are
+asked side by side from one place and a wrapper put on
+`cyclotomic.count_irreducible_factors` reaches every caller.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Tuple
 
 from . import factor as _factor
 from . import numth
@@ -37,6 +40,7 @@ from .numth import (  # re-exported, see above
     has_self_reciprocal_factor,
 )
 from .poly import IntPoly, ModPoly, reduce_mod
+from .pretzel import FoxMilnorStatus
 
 
 def _subst_pow(f: IntPoly, k: int) -> IntPoly:
@@ -130,3 +134,43 @@ def self_reciprocal_factor_oracle(
     explicit irreducible self-reciprocal factor.
     """
     return _factor.self_reciprocal_search(reduced(q), q.d, seed, exhibit_cap)
+
+
+def _divides_reduction(a: int, h: ModPoly) -> bool:
+    """Does h divide (t^(a+2) + 1)(t^a + 1) mod p, p = h.p?"""
+    t, one = ModPoly(h.p, (0, 1)), ModPoly(h.p, (1,))
+    n = (_factor._powmod(t, a + 2, h) + one) * (_factor._powmod(t, a, h) + one)
+    return n.divrem(h)[1].is_zero()
+
+
+def fox_milnor_offenders(
+    status: FoxMilnorStatus, seed: int = _factor.DEFAULT_SEED
+) -> Tuple[ModPoly, ...]:
+    """Self-reciprocal irreducible factors that keep a reduction from admitting.
+
+    `pretzel.fox_milnor_status` decides the reduction Delta mod p part
+    by part; this exhibits, for each part C_d(-t) it found with a
+    self-reciprocal factor, h = g(-t) for the factor g of C_d mod p that
+    `self_reciprocal_factor_oracle` extracts (none past its cap).  By
+    Lemma (b) each h has multiplicity 1.  Each h is checked to divide
+    the reduction mod h alone (`_divides_reduction`, ArithmeticError if
+    not): mod p, Delta (t+1)^2 = (t^(a+2)+1)(t^a+1) as the correction
+    vanishes, and h is irreducible of even degree (self-reciprocal, and
+    not t +/- 1: its roots are -z, z of odd order d > 1), so prime to
+    t + 1.  A status that admits has none, and no search is run.
+
+    >>> from pretzelslice.pretzel import fox_milnor_status
+    >>> [str(h) for h in fox_milnor_offenders(fox_milnor_status(3, 2))]
+    ['1 + t + t^2', '1 + t + t^2 + t^3 + t^4']
+    """
+    offenders = []
+    for d in (c.d for c in status.parts if c.exists):
+        shown = self_reciprocal_factor_oracle(CyclotomicQuery(d, status.p), seed)
+        if not shown.exists:  # pragma: no cover
+            raise ArithmeticError(f"closed form and search disagree at d = {d}, p = {status.p}")
+        if shown.factor is not None:
+            h = shown.factor.substitute_neg().monic()
+            if not _divides_reduction(status.a, h):
+                raise ArithmeticError("offending factor does not divide the reduction")
+            offenders.append(h)
+    return tuple(offenders)

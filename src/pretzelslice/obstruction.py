@@ -9,7 +9,8 @@ enough numeric evidence to be re-verified from scratch.  When every
 pair passes, the mod-p Fox-Milnor test is silent too: by Lemma (b)
 (proved in `pretzel.fox_milnor_status`) it asks each part C_d mod p
 the same question the pairs already answered, and the verdict is
-Inconclusive.
+Inconclusive.  That status is closed-form arithmetic like the pairs,
+and the seed a certificate carries is recorded, not used.
 
 The walk is lazy: `decide` consumes the generator `iter_witness_pairs`
 and stops at the first failure, so the pairs past it are never made,
@@ -299,7 +300,7 @@ def _certificate(
         o = failures[0]
         raise ValueError(f"pair (p={o.pair.p}, d={o.pair.d}) fails: {o.status}")
     statuses = [
-        pretzel.fox_milnor_status(a, p, seed, max_a=max_a)
+        pretzel.fox_milnor_status(a, p, max_a=max_a)
         for p in pretzel.PretzelKnot(a).reduction_primes()
     ]
     bad = [s.p for s in statuses if not s.admits]

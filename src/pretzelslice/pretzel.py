@@ -15,10 +15,10 @@ squarefree product of its coprime parts C_d(-t), so `fox_milnor_status`
 decides it part by part in closed form, without building it.
 
 The knot parameters and `fox_milnor_status` belong to the arithmetic
-core and import only `numth` at module level.  The polynomial
-functions import `poly` when called; `fox_milnor_status` reaches the
-factorization oracle only to exhibit an offending factor h (never, once
-every witness pair passes), and checks h against Delta mod h alone.
+core and import only `numth`; the polynomial functions import `poly`
+when called.  Nothing here factors: the offending factors of a
+reduction that does not admit are exhibited by the oracle layer
+(`cyclotomic.fox_milnor_offenders`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from . import numth
-from .numth import DEFAULT_SEED, CyclotomicQuery, has_self_reciprocal_factor
+from .numth import CyclotomicQuery, has_self_reciprocal_factor
 
 if TYPE_CHECKING:
     from .poly import IntPoly, ModPoly
@@ -131,36 +131,15 @@ class PartCheck(NamedTuple):
 
 
 class FoxMilnorStatus(NamedTuple):
-    """Fox-Milnor verdict for one reduction, decided part by part.
-
-    offenders lists exhibited self-reciprocal irreducible factors of the
-    reduction (each with its multiplicity, which Lemma (b) makes 1);
-    nonempty only when admits is False.
-    """
+    """Fox-Milnor verdict for one reduction, decided part by part."""
 
     a: int
     p: int
     admits: bool
-    offenders: Tuple[Tuple[ModPoly, int], ...]
     parts: Tuple[PartCheck, ...]
 
 
-def _divides_reduction(a: int, h: ModPoly) -> bool:
-    """Does h divide (t^(a+2) + 1)(t^a + 1) mod p, p = h.p?"""
-    from .factor import _powmod
-    from .poly import ModPoly
-
-    t, one = ModPoly(h.p, (0, 1)), ModPoly(h.p, (1,))
-    n = (_powmod(t, a + 2, h) + one) * (_powmod(t, a, h) + one)
-    return n.divrem(h)[1].is_zero()
-
-
-def fox_milnor_status(
-    a: int,
-    p: int,
-    seed: int = DEFAULT_SEED,
-    max_a: int = DEFAULT_MAX_A,
-) -> FoxMilnorStatus:
+def fox_milnor_status(a: int, p: int, max_a: int = DEFAULT_MAX_A) -> FoxMilnorStatus:
     """Does the mod-p Alexander reduction admit a Fox-Milnor factorization?
 
     A reduction f admits one (f = g g* up to a unit) iff every
@@ -192,40 +171,20 @@ def fox_milnor_status(
     Fox-Milnor factorization iff no part C_d(-t) has a self-reciprocal
     irreducible factor.  As h(t) is self-reciprocal iff h(-t) is, that
     is asking each C_d mod p.  The lemma's hypothesis, p not dividing
-    d, is checked for every part (ArithmeticError if it fails).  Only
-    when a part has such a factor is it exhibited, by the polynomial
-    search, and checked to divide the reduction mod that factor h alone
-    (`_divides_reduction`): mod p, Delta (t+1)^2 = (t^(a+2)+1)(t^a+1)
-    as the correction vanishes, and h = g(-t), g an irreducible factor
-    of C_d, is irreducible of even degree (self-reciprocal, and not
-    t +/- 1: its roots are -z, z of odd order d > 1), so prime to t + 1.
+    d, is checked for every part (ArithmeticError if it fails).  The
+    offending factors themselves are exhibited by the oracle layer,
+    `cyclotomic.fox_milnor_offenders`.
 
     >>> fox_milnor_status(3, 2).admits
     False
-    >>> [str(g) for g, m in fox_milnor_status(3, 2).offenders]
-    ['1 + t + t^2', '1 + t + t^2 + t^3 + t^4']
     """
     _validate_reduction(a, p, max_a)
-    parts, offenders = [], []
+    parts = []
     for n, source in ((a, "a"), (a + 2, "a+2")):
         for d in numth.divisors(numth.factorize(n))[1:]:
             if d % p == 0:
                 raise ArithmeticError(f"p = {p} divides the part index d = {d}")
-            q = CyclotomicQuery(d, p)
-            exists = has_self_reciprocal_factor(q).exists
+            exists = has_self_reciprocal_factor(CyclotomicQuery(d, p)).exists
             parts.append(PartCheck(d, source, exists))
-            if exists:
-                # the oracle layer, reached only to exhibit the factor
-                from .cyclotomic import reduced
-                from .factor import self_reciprocal_search
-
-                shown = self_reciprocal_search(reduced(q), d, seed)
-                if not shown.exists:  # pragma: no cover
-                    raise ArithmeticError(f"closed form and search disagree at d = {d}, p = {p}")
-                if shown.factor is not None:
-                    h = shown.factor.substitute_neg().monic()
-                    if not _divides_reduction(a, h):
-                        raise ArithmeticError("offending factor does not divide the reduction")
-                    offenders.append((h, 1))
     admits = not any(c.exists for c in parts)
-    return FoxMilnorStatus(a, p, admits, tuple(offenders), tuple(parts))
+    return FoxMilnorStatus(a, p, admits, tuple(parts))

@@ -91,10 +91,14 @@ def test_scan_is_byte_stable(tmp_path, capsys):
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
-def test_scan_usage_errors(capsys):
+def test_scan_usage_errors(tmp_path, capsys):
     assert run(capsys, "scan", "10", "5")[0] == 2
-    assert run(capsys, "scan", "3", "99", "--mod", "4")[0] == 2
     assert run(capsys, "scan", "3", "99", "--mod", "4", "--residues", "x")[0] == 2
+    # an unpaired filter is refused once, by `obstruction.scan`, before any file is written
+    for flag in (("--mod", "4"), ("--residues", "1")):
+        code, out, err = run(capsys, "scan", "3", "9", *flag, "--out", str(tmp_path / "s"))
+        assert code == 2 and "modulus and residues go together" in err and out == "", flag
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_rejects_tampered_certificate(tmp_path, capsys):

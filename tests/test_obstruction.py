@@ -520,8 +520,8 @@ def test_mod_p_certificate_is_an_unknown_verdict():
 
 
 def test_decide_raises_when_the_backstop_contradicts_lemma_b(monkeypatch):
-    def obstructed(a, p, seed=0, max_a=0):
-        return pretzel.FoxMilnorStatus(a, p, False, (), ())
+    def obstructed(a, p, max_a=0):
+        return pretzel.FoxMilnorStatus(a, p, False, ())
 
     monkeypatch.setattr(pretzel, "fox_milnor_status", obstructed)
     with pytest.raises(ArithmeticError, match="Lemma \\(b\\)"):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from pretzelslice import factor, numth, pretzel
-from pretzelslice.cyclotomic import CyclotomicQuery, cyclotomic_poly, reduced
+from pretzelslice import cyclotomic, factor, numth, pretzel
+from pretzelslice.cyclotomic import (CyclotomicQuery, cyclotomic_poly, fox_milnor_offenders,
+                                     reduced)
 from pretzelslice.poly import IntPoly, ModPoly
 from pretzelslice.pretzel import (
     PretzelKnot,
@@ -12,6 +13,8 @@ from pretzelslice.pretzel import (
     fox_milnor_status,
     validate_member,
 )
+
+from test_import_graph import _fresh
 
 # every (a, p) with a one of the 8 survivors and p a prime of (a+1)/2
 SURVIVOR_REDUCTIONS = [
@@ -100,7 +103,7 @@ def test_alexander_mod_p_validates_prime_choice():
 def test_fox_milnor_flagship():
     st = fox_milnor_status(3, 2)
     assert not st.admits
-    assert [g.coeffs for g, _ in st.offenders] == [(1, 1, 1), (1, 1, 1, 1, 1)]
+    assert [h.coeffs for h in fox_milnor_offenders(st)] == [(1, 1, 1), (1, 1, 1, 1, 1)]
 
 
 def test_fox_milnor_routes_agree():
@@ -111,20 +114,21 @@ def test_fox_milnor_routes_agree():
     for a in range(3, 90, 2):
         for p in PretzelKnot(a).reduction_primes():
             st = fox_milnor_status(a, p)
+            offenders = fox_milnor_offenders(st)
             delta_bar = alexander_mod_p(a, p)
             ref = factor.fox_milnor_mod_p(delta_bar)
             assert st.admits == ref.admits, (a, p)
-            got = {g.coeffs for g, _ in st.offenders}
+            got = {h.coeffs for h in offenders}
             assert got <= {g.coeffs for g, _ in ref.odd_multiplicity}, (a, p)
             # Lemma (b): the reduction is squarefree, as fox_milnor_status
             # assumes without running this gcd
             assert delta_bar.gcd(delta_bar.derivative()).degree == 0, (a, p)
             # the check mod h against division of the built reduction, on
             # this a's offenders (which divide) and earlier ones (some not)
-            seen.setdefault(p, set()).update(g for g, _ in st.offenders)
+            seen.setdefault(p, set()).update(offenders)
             for h in seen[p]:
                 divides = delta_bar.divrem(h)[1].is_zero()
-                assert pretzel._divides_reduction(a, h) == divides, (a, p, h)
+                assert cyclotomic._divides_reduction(a, h) == divides, (a, p, h)
                 answers.add(divides)
     assert answers == {True, False}
 
@@ -134,9 +138,16 @@ def test_fox_milnor_offender_check_can_fail(monkeypatch):
     # 11), but t^2 + t + 1, of order 3, divides neither t^13 + 1 nor t^11 + 1
     wrong = factor.SelfReciprocalSearch(True, 1, 3, 2, ModPoly(2, (1, 1, 1)))
     monkeypatch.setattr(factor, "self_reciprocal_search", lambda *args: wrong)
-    assert not pretzel._divides_reduction(11, wrong.factor)
-    with pytest.raises(ArithmeticError, match="does not divide"):
-        fox_milnor_status(11, 2)
+    assert not cyclotomic._divides_reduction(11, wrong.factor)
+    st = fox_milnor_status(11, 2)
+    # a memoized (11, 2) search would hide the patched one, and the
+    # patched one must not outlive this test
+    cyclotomic.self_reciprocal_factor_oracle.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            fox_milnor_offenders(st)
+    finally:
+        cyclotomic.self_reciprocal_factor_oracle.cache_clear()
 
 
 def test_alexander_at_large_a_against_the_quotient_mod_a_prime():
@@ -157,7 +168,7 @@ def test_alexander_at_large_a_against_the_quotient_mod_a_prime():
 def test_fox_milnor_survivor_admits(a, p):
     st = fox_milnor_status(a, p)
     assert st.admits
-    assert st.offenders == ()
+    assert fox_milnor_offenders(st) == ()
     assert st.parts and not any(c.exists for c in st.parts)
     # the polynomial search on each part agrees with the closed form
     for c in st.parts:
@@ -175,6 +186,24 @@ def test_structured_route_never_builds_the_reduction(monkeypatch):
     monkeypatch.setattr(factor, "self_reciprocal_search", refuse)
     for a, p in SURVIVOR_REDUCTIONS:
         assert fox_milnor_status(a, p).admits
+
+
+def test_fox_milnor_status_loads_no_polynomial_code():
+    # the arithmetic core decides every reduction without the oracle layer
+    # (among them (3, 2), (11, 2), ... whose offenders exist); fresh
+    # interpreter, since this one has imported everything
+    got = _fresh(
+        "import sys\n"
+        "from pretzelslice.pretzel import PretzelKnot, fox_milnor_status\n"
+        "admits = [fox_milnor_status(a, p).admits for a in range(3, 200, 2)\n"
+        "          for p in PretzelKnot(a).reduction_primes()]\n"
+        "RESULT = {'calls': len(admits), 'obstructed': admits.count(False),\n"
+        "          'modules': sorted(sys.modules)}\n"
+    )
+    assert got["calls"] > 100 and got["obstructed"] > 0
+    oracle = ("numpy", "pretzelslice.poly", "pretzelslice._kernels", "pretzelslice.factor",
+              "pretzelslice.cyclotomic")
+    assert [m for m in oracle if m in got["modules"]] == []
 
 
 def test_structured_route_checks_the_lemma_hypothesis(monkeypatch):

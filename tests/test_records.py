@@ -34,7 +34,7 @@ def _records():
         numth.has_self_reciprocal_factor(CyclotomicQuery(9, 2)),
         PretzelKnot(3),
         pretzel.PartCheck(3, "a", True),
-        pretzel.FoxMilnorStatus(15, 2, True, (), ()),
+        pretzel.FoxMilnorStatus(15, 2, True, ()),
         cert.witness,
         ob.check_pair(3, cert.witness),
         cert,
