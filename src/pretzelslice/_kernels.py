@@ -12,9 +12,9 @@ Which path a call takes depends on the operand lengths:
   most `_TINY` coefficients, `np.convolve` while the shorter one has at
   most `_KRONECKER_CUTOFF`, Kronecker packing beyond (and whenever the
   int64 bound fails); the product in the cyclic ring F_p[t]/(t^n - 1)
-  takes the last two only, arrays in and an array out (int64 for
-  p < 2^63, Python ints beyond), and folds before it reduces; over the
-  integers (`mul_int`) `np.convolve` at any length while the int64
+  always packs, arrays in and an array out (int64 for p < 2^63, Python
+  ints beyond), and folds the packed product before it reduces; over
+  the integers (`mul_int`) `np.convolve` at any length while the int64
   bound holds, schoolbook otherwise;
 * division: a reciprocal by Newton iteration, with every product
   through `mul_mod`, once the divisor has degree at least `_DIV_SHORT`
@@ -166,13 +166,14 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     i + j = k (mod n).  For each i at most one j < len(b) <= n is in
     that class, and symmetrically, so every coefficient is a sum of at
     most min(la, lb) products of size (p-1)^2: the bound of `mul_mod`.
-    Both paths therefore fold the wrap-around exactly before their one
-    reduction mod p.  The Kronecker path folds the packed product
-    itself: with w-byte digits, t^n - 1 becomes 2^(8wn) - 1, so the high
-    half is added onto the low half, and the digits of the sum are the
-    cyclic coefficients, each still below 256^w.  A square (a is b)
-    packs once, and CPython squares a big integer faster than it
-    multiplies two.
+    Packed at that width (Kronecker substitution), the product folds
+    exactly before its one reduction mod p: with w-byte digits, t^n - 1
+    becomes 2^(8wn) - 1, so the high half is added onto the low half,
+    and the digits of the sum are the cyclic coefficients, each still
+    below 256^w.  A square (a is b) packs once, and CPython squares a
+    big integer faster than it multiplies two.  Every shape packs: the
+    ring is used only where n > 173 (`factor._ORBIT_CELLS`), and there
+    np.convolve was no faster on the squares that dominate a power.
     """
     square = a is b
     dtype = cyclic_dtype(p)
@@ -181,17 +182,7 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     la, lb = len(a), len(b)
     if not (0 < la <= n and 0 < lb <= n):
         raise ValueError(f"operand lengths {la}, {lb} outside 1..{n}")
-    short = min(la, lb)
-    if short <= _KRONECKER_CUTOFF and short * (p - 1) * (p - 1) < _I64_SAFE:
-        raw = np.convolve(a, b)
-        wrap = len(raw) - n
-        if wrap > 0:
-            raw[:wrap] += raw[n:]
-            raw = raw[:n]
-        out = np.zeros(n, dtype=np.int64)
-        np.remainder(raw, p, out=out[: len(raw)])
-        return out
-    width = _width(short * (p - 1) * (p - 1))
+    width = _width(min(la, lb) * (p - 1) * (p - 1))
     x = _pack(a, width)
     x = x * x if square else x * _pack(b, width)
     shift = 8 * width * n

@@ -87,9 +87,18 @@ def reduced(q: CyclotomicQuery) -> ModPoly:
 # ---------------------------------------------------------------------------
 # oracle routes: answer the same questions by actually factoring
 
-# bounded memo large enough for the whole acceptance grid (2326 pairs),
-# which criteria 4 and 5 walk one after the other; typed, as in `numth`
+# bounded memos, keyed on the question (q, seed[, exhibit_cap]) however a
+# call spells it, and large enough for the whole acceptance grid (2326
+# pairs), which criteria 4 and 5 walk one after the other; typed, as in `numth`
 @functools.lru_cache(maxsize=4096, typed=True)
+def _factor_cyclotomic(q: CyclotomicQuery, seed: int) -> _factor.FactorMultiset:
+    ms = _factor.factor_cyclic(reduced(q), q.d, seed)
+    order = numth.mult_order(q.p, q.d)
+    if any(m != 1 or g.degree != order for g, m in ms):  # pragma: no cover
+        raise ArithmeticError(f"unexpected factor shape for {q}")
+    return ms
+
+
 def factor_cyclotomic_oracle(
     q: CyclotomicQuery, seed: int = _factor.DEFAULT_SEED
 ) -> _factor.FactorMultiset:
@@ -99,11 +108,7 @@ def factor_cyclotomic_oracle(
     violations raise, since they would falsify the closed-form counts
     this oracle exists to confirm.
     """
-    ms = _factor.factor_cyclic(reduced(q), q.d, seed)
-    order = numth.mult_order(q.p, q.d)
-    if any(m != 1 or g.degree != order for g, m in ms):  # pragma: no cover
-        raise ArithmeticError(f"unexpected factor shape for {q}")
-    return ms
+    return _factor_cyclotomic(q, seed)
 
 
 def factor_count_oracle(q: CyclotomicQuery) -> int:
@@ -122,6 +127,10 @@ def factor_count_oracle(q: CyclotomicQuery) -> int:
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
+def _self_reciprocal(q: CyclotomicQuery, seed: int, cap: int) -> _factor.SelfReciprocalSearch:
+    return _factor.self_reciprocal_search(reduced(q), q.d, seed, cap)
+
+
 def self_reciprocal_factor_oracle(
     q: CyclotomicQuery,
     seed: int = _factor.DEFAULT_SEED,
@@ -133,7 +142,7 @@ def self_reciprocal_factor_oracle(
     for g dividing p^m + 1) and, when extraction is affordable, an
     explicit irreducible self-reciprocal factor.
     """
-    return _factor.self_reciprocal_search(reduced(q), q.d, seed, exhibit_cap)
+    return _self_reciprocal(q, seed, exhibit_cap)
 
 
 def _divides_reduction(a: int, h: ModPoly) -> bool:

@@ -74,28 +74,8 @@ class CounterRng:
                 return val % bound
 
     def coeffs(self, count: int, p: int) -> List[int]:
-        """`count` successive `randbelow(p)` draws, taken in batches.
-
-        The same chunks of the same stream are read and rejected as by
-        `randbelow`, so the draws and the stream position afterwards are
-        exactly those of `[self.randbelow(p) for _ in range(count)]`.
-        """
-        nbytes = (p.bit_length() + 7) // 8 + 1
-        if p <= 0 or nbytes > 8:
-            return [self.randbelow(p) for _ in range(count)]
-        limit = (256**nbytes // p) * p
-        out: List[int] = []
-        while len(out) < count:
-            want = count - len(out)
-            # a chunk is rejected with probability below 1/256
-            k = want + (want >> 6) + 4
-            self._fill(k * nbytes)
-            vals = _k._words(self._buf, nbytes, k)
-            kept = np.flatnonzero(vals < limit)[:want]
-            used = int(kept[-1]) + 1 if len(kept) == want else k
-            out.extend((vals[kept] % p).tolist())
-            self._buf = self._buf[used * nbytes :]
-        return out
+        """`count` successive `randbelow(p)`: one per coefficient, or per orbit."""
+        return [self.randbelow(p) for _ in range(count)]
 
 
 def _poly_key(coeffs: Sequence[int], p: int) -> str:

@@ -18,6 +18,14 @@ IntPoly((-1, 2))
 >>> str(f.canonical())
 '-1 + 2*t'
 
+`IntPoly` and `ModPoly` share one body, `_Poly`: immutability, degree,
+printing, sum, negation, difference, shift by t^k and the associate-class
+operations.  Each ring supplies `_like(coeffs)`, a value of the same ring
+(over F_p the constructor reduces mod p), and `_normal()`, the unit normal
+form (a positive lead over Z, monic over F_p); `ModPoly` also refuses to
+mix moduli (`_match`).  Equality, products, evaluation, division and gcd
+stay with each ring.
+
 Coefficients are exact Python integers.  Products over Z, and products,
 division and gcd over F_p, go through `_kernels`, which picks a route
 from the operand lengths (and, for products and gcd, a worst-case int64
@@ -35,38 +43,16 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial division that must be exact is not."""
 
 
-def _format_terms(coeffs) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for e, c in enumerate(coeffs):
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif e == 1:
-            body = "t" if mag == 1 else f"{mag}*t"
-        else:
-            body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+class _Poly:
+    """The ring-independent half of `IntPoly` and `ModPoly` (see the module)."""
 
-
-class IntPoly:
-    """A polynomial with integer coefficients, ascending exponent order."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = _k.trim(list(coeffs))
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ()
 
     def __setattr__(self, *a):
-        raise AttributeError("IntPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _match(self, other):
+        """Raise if `other` lies in a different ring; no-op over Z."""
 
     # -- basic queries ----------------------------------------------------
 
@@ -81,59 +67,57 @@ class IntPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
-
-    def __repr__(self):
-        return f"IntPoly({self.coeffs!r})"
-
     def __str__(self):
-        return _format_terms(self.coeffs)
+        parts = []
+        for e, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            elif e == 1:
+                body = "t" if mag == 1 else f"{mag}*t"
+            else:
+                body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts) or "0"
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
+    def __add__(self, other):
+        self._match(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return self._like(out)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
+    def __neg__(self):
+        return self._like([-c for c in self.coeffs])
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
-        return IntPoly(_k.mul_int(self.coeffs, other.coeffs))
-
-    def shift(self, k: int) -> "IntPoly":
+    def shift(self, k: int):
         """Multiply by t^k (k >= 0)."""
         if k < 0:
             raise ValueError("negative shift")
-        return IntPoly((0,) * k + self.coeffs)
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self._like((0,) * k + self.coeffs)
 
     # -- associate-class operations -----------------------------------------
 
-    def canonical(self) -> "IntPoly":
-        """The distinguished associate: nonzero constant term, positive lead.
+    def canonical(self):
+        """The distinguished associate: nonzero constant term, then `_normal`.
 
         >>> IntPoly((0, 0, -2, -4)).canonical()
         IntPoly((2, 4))
+        >>> ModPoly(5, (0, 2, 4)).canonical()
+        ModPoly(5, (3, 1))
         """
         cs = self.coeffs
         if not cs:
@@ -141,16 +125,13 @@ class IntPoly:
         low = 0
         while cs[low] == 0:
             low += 1
-        cs = cs[low:]
-        if cs[-1] < 0:
-            cs = tuple(-c for c in cs)
-        return IntPoly(cs)
+        return self._like(cs[low:])._normal()
 
-    def reverse(self) -> "IntPoly":
+    def reverse(self):
         """Coefficients reversed (t^deg * f(1/t)), canonicalized."""
         if not self.coeffs:
             raise ValueError("reverse of the zero polynomial")
-        return IntPoly(self.coeffs[::-1]).canonical()
+        return self._like(self.coeffs[::-1]).canonical()
 
     def is_self_reciprocal(self) -> bool:
         """True when f and its reversal agree up to a unit.
@@ -162,11 +143,45 @@ class IntPoly:
             raise ValueError("self-reciprocal test on the zero polynomial")
         return self.canonical() == self.reverse()
 
-    def substitute_neg(self) -> "IntPoly":
-        """f(-t), canonicalized."""
-        return IntPoly(
-            [-c if e & 1 else c for e, c in enumerate(self.coeffs)]
-        ).canonical()
+    def substitute_neg(self):
+        """f(-t), canonicalized (the identity map when p = 2)."""
+        return self._like([-c if e & 1 else c for e, c in enumerate(self.coeffs)]).canonical()
+
+
+class IntPoly(_Poly):
+    """A polynomial with integer coefficients, ascending exponent order."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = _k.trim(list(coeffs))
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def _like(self, cs) -> "IntPoly":
+        return IntPoly(cs)
+
+    def _normal(self) -> "IntPoly":
+        return -self if self.coeffs and self.coeffs[-1] < 0 else self
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(("IntPoly", self.coeffs))
+
+    def __repr__(self):
+        return f"IntPoly({self.coeffs!r})"
+
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
+        if not self.coeffs or not other.coeffs:
+            return IntPoly()
+        return IntPoly(_k.mul_int(self.coeffs, other.coeffs))
+
+    def evaluate(self, x: int) -> int:
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def exact_div(self, den: "IntPoly") -> "IntPoly":
         """Exact quotient over Z; raises ExactDivisionError otherwise."""
@@ -215,7 +230,7 @@ def _check_modulus(p: int):
     _checked_moduli.add(p)
 
 
-class ModPoly:
+class ModPoly(_Poly):
     """A polynomial over F_p, p prime, coefficients in [0, p)."""
 
     __slots__ = ("p", "coeffs")
@@ -238,18 +253,12 @@ class ModPoly:
         object.__setattr__(out, "coeffs", tuple(cs))
         return out
 
-    def __setattr__(self, *a):
-        raise AttributeError("ModPoly is immutable")
+    def _like(self, cs) -> "ModPoly":
+        return ModPoly(self.p, cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    def _match(self, other: "ModPoly"):
+        if self.p != other.p:
+            raise ValueError(f"mixed moduli {self.p} and {other.p}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -264,31 +273,6 @@ class ModPoly:
     def __repr__(self):
         return f"ModPoly({self.p}, {self.coeffs!r})"
 
-    def __str__(self):
-        return _format_terms(self.coeffs)
-
-    def _match(self, other: "ModPoly"):
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._match(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return ModPoly(self.p, out)
-
-    def __neg__(self) -> "ModPoly":
-        return ModPoly(self.p, [-c % self.p for c in self.coeffs])
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        return self + (-other)
-
     def __mul__(self, other: "ModPoly") -> "ModPoly":
         self._match(other)
         if not self.coeffs or not other.coeffs:
@@ -299,11 +283,6 @@ class ModPoly:
     def scale(self, c: int) -> "ModPoly":
         c %= self.p
         return ModPoly(self.p, [(c * x) % self.p for x in self.coeffs])
-
-    def shift(self, k: int) -> "ModPoly":
-        if k < 0:
-            raise ValueError("negative shift")
-        return ModPoly(self.p, (0,) * k + self.coeffs)
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -338,34 +317,7 @@ class ModPoly:
         inv = pow(self.coeffs[-1], self.p - 2, self.p)
         return self.scale(inv)
 
-    # -- associate-class operations -----------------------------------------
-
-    def canonical(self) -> "ModPoly":
-        """Distinguished associate: nonzero constant term and monic."""
-        cs = self.coeffs
-        if not cs:
-            return self
-        low = 0
-        while cs[low] == 0:
-            low += 1
-        return ModPoly(self.p, cs[low:]).monic()
-
-    def reverse(self) -> "ModPoly":
-        if not self.coeffs:
-            raise ValueError("reverse of the zero polynomial")
-        return ModPoly(self.p, self.coeffs[::-1]).canonical()
-
-    def is_self_reciprocal(self) -> bool:
-        if not self.coeffs:
-            raise ValueError("self-reciprocal test on the zero polynomial")
-        return self.canonical() == self.reverse()
-
-    def substitute_neg(self) -> "ModPoly":
-        """f(-t), canonicalized (the identity map when p = 2)."""
-        return ModPoly(
-            self.p,
-            [(-c) % self.p if e & 1 else c for e, c in enumerate(self.coeffs)],
-        ).canonical()
+    _normal = monic
 
 
 def reduce_mod(f: IntPoly, p: int) -> ModPoly:

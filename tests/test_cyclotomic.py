@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from pretzelslice import numth
+from pretzelslice import cyclotomic, numth
 from pretzelslice.cyclotomic import (
     CyclotomicQuery,
     count_irreducible_factors,
@@ -105,6 +105,20 @@ def test_query_memos_refuse_a_plain_tuple_even_once_cached(memo):
     for plain in ((7, 2), (11, 2)):
         with pytest.raises(AttributeError):
             memo(plain)
+
+
+@pytest.mark.parametrize("oracle, memo", [
+    (factor_cyclotomic_oracle, cyclotomic._factor_cyclotomic),
+    (self_reciprocal_factor_oracle, cyclotomic._self_reciprocal),
+])
+def test_oracle_memos_key_on_the_question_not_the_call_form(oracle, memo):
+    # (q), (q, seed) and (q, seed=seed) ask one question: one search, two hits
+    q = CyclotomicQuery(11, 2)
+    memo.cache_clear()
+    answers = [oracle(q), oracle(q, numth.DEFAULT_SEED), oracle(q, seed=numth.DEFAULT_SEED)]
+    assert answers[0] is answers[1] is answers[2]
+    info = memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 def test_reduced_is_squarefree():

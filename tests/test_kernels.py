@@ -544,7 +544,7 @@ def test_mul_cyclic_mod_at_the_path_cutoffs(p, la, lb, n, monkeypatch):
         del school[:], packed[:]
         got = _k.mul_cyclic_mod(x, y, n, p).tolist()
         assert not school
-        assert len(packed) == 2 * (min(la, lb) > _k._KRONECKER_CUTOFF)
+        assert len(packed) == 2  # packed on every shape
         assert got == folded_mul_mod(x, y, n, p) == ref_cyclic(x, y, n, p)
 
 
@@ -559,7 +559,7 @@ def test_mul_cyclic_mod_at_the_int64_bound(short, monkeypatch):
         for x, y in ((vec(rng, la, p), vec(rng, lb, p)), ([p - 1] * la, [p - 1] * lb)):
             before = len(packed)
             got = _k.mul_cyclic_mod(x, y, n, p).tolist()
-            assert len(packed) - before == 2 * (short > LAST_I64)
+            assert len(packed) - before == 2  # packed on both sides of the bound
             assert got == ref_cyclic(x, y, n, p)
             assert got == folded_mul_mod(x, y, n, p)
 
@@ -615,9 +615,9 @@ def test_mul_cyclic_mod_rejects_operands_outside_the_ring():
                                _k._KRONECKER_CUTOFF + 1, 499])
 @pytest.mark.parametrize("p", [2, 97, 65521, M61])
 def test_mul_cyclic_mod_on_int64_arrays_and_squares(n, p, monkeypatch):
-    """int64 arrays in, an int64 array of n coefficients out, on every path.
+    """int64 arrays in, an int64 array of n coefficients out, at every shape.
 
-    A square (the same object twice) packs once on the Kronecker path;
+    Every product packs; a square (the same object twice) packs once, and
     its value is still `mul_mod` followed by an explicit fold.
     """
     packed = spy(monkeypatch, "_pack")
@@ -628,9 +628,7 @@ def test_mul_cyclic_mod_on_int64_arrays_and_squares(n, p, monkeypatch):
         del packed[:]
         before = u.copy(), v.copy()
         got = _k.mul_cyclic_mod(u, v, n, p)
-        short = min(len(u), len(v))
-        int64 = short <= _k._KRONECKER_CUTOFF and short * (p - 1) ** 2 < _k._I64_SAFE
-        assert len(packed) == packs * (not int64)
+        assert len(packed) == packs
         assert got.dtype == np.int64 and got.shape == (n,)
         assert got.tolist() == folded_mul_mod(u.tolist(), v.tolist(), n, p)
         assert (u == before[0]).all() and (v == before[1]).all()

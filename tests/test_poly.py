@@ -267,6 +267,20 @@ def test_reduce_mod_is_multiplicative_up_to_canonical():
                 assert lhs.is_zero() and rhs.is_zero()
             else:
                 assert lhs.canonical() == rhs.canonical()
+    # the body IntPoly and ModPoly share: reduction mod p commutes with
+    # +, binary and unary -, shift and f(-t), raw values compared as they are
+    for p in (2, 3, 97):
+        for _ in range(80):
+            f = IntPoly([rng.randint(-200, 200) for _ in range(rng.randint(0, 8))])
+            g = IntPoly([rng.randint(-200, 200) for _ in range(rng.randint(0, 8))])
+            k = rng.randint(0, 3)
+            fp, gp = ModPoly(p, f.coeffs), ModPoly(p, g.coeffs)
+            assert ModPoly(p, (f + g).coeffs) == fp + gp
+            assert ModPoly(p, (f - g).coeffs) == fp - gp
+            assert ModPoly(p, (-f).coeffs) == -fp
+            assert ModPoly(p, f.shift(k).coeffs) == fp.shift(k)
+            if fp:
+                assert reduce_mod(f.substitute_neg(), p) == fp.substitute_neg()
 
 
 def test_values_are_immutable():

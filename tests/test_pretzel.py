@@ -142,12 +142,12 @@ def test_fox_milnor_offender_check_can_fail(monkeypatch):
     st = fox_milnor_status(11, 2)
     # a memoized (11, 2) search would hide the patched one, and the
     # patched one must not outlive this test
-    cyclotomic.self_reciprocal_factor_oracle.cache_clear()
+    cyclotomic._self_reciprocal.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="does not divide"):
             fox_milnor_offenders(st)
     finally:
-        cyclotomic.self_reciprocal_factor_oracle.cache_clear()
+        cyclotomic._self_reciprocal.cache_clear()
 
 
 def test_alexander_at_large_a_against_the_quotient_mod_a_prime():
