@@ -1,29 +1,36 @@
 """Low-level coefficient kernels for dense polynomial arithmetic.
 
-Polynomials are plain sequences of Python ints in ascending exponent
-order.  Everything here is exact: numpy int64 paths are taken only when
-a worst-case bound shows no overflow is possible, and multiplication of
-long operands goes through Kronecker substitution (packing coefficients
-into one big integer), which is exact for any modulus.
+A polynomial is a coefficient sequence in ascending exponent order.
+The kernels over F_p take arrays (or any sequences) and return arrays
+of dtype `cyclic_dtype(p)`, int64 while [0, p) fits and Python ints
+beyond, so `factor` keeps its operands as arrays from call to call and
+`poly` converts only at its boundary.  Everything is exact: int64 sums
+are formed only where a worst-case bound rules out overflow, and long
+products go through Kronecker substitution (packing coefficients into
+one big integer), which is exact for any modulus.
 
-Which path a call takes depends on the operand lengths:
+Which path a call takes depends on p and the operand lengths:
 
-* multiplication: plain Python schoolbook while both operands have at
-  most `_TINY` coefficients, `np.convolve` while the shorter one has at
-  most `_KRONECKER_CUTOFF`, Kronecker packing beyond (and whenever the
-  int64 bound fails); the product in the cyclic ring F_p[t]/(t^n - 1)
-  always packs, arrays in and an array out (int64 for p < 2^63, Python
-  ints beyond), and folds the packed product before it reduces; over
-  the integers (`mul_int`) `np.convolve` at any length while the int64
-  bound holds, schoolbook otherwise;
-* division: a reciprocal by Newton iteration, with every product
-  through `mul_mod`, once the divisor has degree at least `_DIV_SHORT`
-  and the quotient at least `_NEWTON_MIN` coefficients; a plain Python
-  loop otherwise.  The choice looks at the shapes only, since both
-  routes are exact at any p.  `_divrem_newton` reuses a kept reciprocal;
+* multiplication: Python schoolbook while both operands have at most
+  `_TINY` coefficients, `np.convolve` while the shorter one has at most
+  `_KRONECKER_CUTOFF` and the int64 bound holds, packing otherwise; the
+  cyclic product in F_p[t]/(t^n - 1) always packs and folds before it
+  reduces; over Z (`mul_int`, lists in and out) `np.convolve` at any
+  length while the int64 bound holds, schoolbook otherwise;
+* division: a reciprocal by Newton iteration for long quotients, the
+  Python loop on the top coefficients for short quotients by long
+  divisors, and the loop on the whole operands otherwise (`divrem_mod`);
 * gcd: Euclid on int64 arrays held across steps once both inputs have
-  more than `_DIV_SHORT` coefficients and the int64 bound holds,
-  repeated `divrem_mod` otherwise.
+  more than `_DIV_SHORT` coefficients and the int64 bound holds, the
+  division loop on Python ints while one has at most `_DIV_SHORT`
+  (every division takes it there), repeated `divrem_mod` otherwise.
+  The int64 Euclid reduces mod p lazily.
+  A division with s quotient steps subtracts at most s multiples c y,
+  c < p, of each divisor entry y, so if the dividend's entries are
+  bounded by A and the divisor's by B, the remainder's are by
+  A + s (p-1) B.  Euclid carries these bounds from one division to the
+  next and reduces both operands only when the next bound would reach
+  2^62; from reduced operands one division always fits.
 
 These helpers are internal; `poly` wraps them in value types and the
 `factor` module drives them at scale.
@@ -67,19 +74,25 @@ _DIV_SHORT = 16
 # calls, ms), the cutoff reads 16: 635, 24: 621, 32: 620, 48: 627, 64:
 # 650, 96: 727.
 _NEWTON_MIN = 32
+# Below that, the quotient comes from the top coefficients where (steps
+# + 1) m >= 2 steps^2 + _TOP_MIN: the loop costs about m (steps + 1) scalar
+# steps, the top route 2 steps^2 and a fixed cost of about _TOP_MIN of
+# them (fitted at p = 97, m = 16..128, steps = 1..31; BENCH_24.json).
+_TOP_MIN = 160
 
 
 def cyclic_dtype(p: int):
-    """Array dtype for ring elements mod p: int64 while [0, p) fits, else object."""
+    """Array dtype for coefficients mod p: int64 while [0, p) fits, else object."""
     return np.int64 if p < 1 << 63 else object
 
 
-def trim(cs: Sequence[int]) -> List[int]:
-    """Drop trailing (highest-exponent) zeros; [] is the zero polynomial."""
+def trim(cs):
+    """cs without trailing (highest-exponent) zeros (cs or a slice of it); empty is zero."""
     n = len(cs)
-    while n and cs[n - 1] == 0:
-        n -= 1
-    return list(cs[:n])
+    if not n or cs[n - 1] != 0:
+        return cs
+    nonzero = np.flatnonzero(cs)
+    return cs[: int(nonzero[-1]) + 1 if len(nonzero) else 0]
 
 
 # ---------------------------------------------------------------------------
@@ -110,27 +123,18 @@ def _pack(cs: Sequence[int], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _words(buf: bytes, width: int, count: int) -> np.ndarray:
-    """The first `count` little-endian integers of `width` <= 8 bytes in buf."""
-    wide = np.zeros((count, 8), dtype=np.uint8)
-    wide[:, :width] = np.frombuffer(buf, np.uint8, width * count).reshape(count, width)
-    return wide.view("<u8").reshape(count)
-
-
-def _unpack(x: int, width: int, count: int, p: int) -> List[int]:
-    """The `count` coefficients packed in x, reduced mod p (p = 0: as they are)."""
+def _unpack(x: int, width: int, count: int, p: int) -> np.ndarray:
+    """The `count` coefficients packed in x, reduced mod p, of dtype `cyclic_dtype(p)`."""
     buf = x.to_bytes(width * count, "little")
     if width <= 8:
-        words = _words(buf, width, count)
-        return (words % p).tolist() if p else words.tolist()
-    out = []
-    for i in range(count):
-        c = int.from_bytes(buf[i * width : (i + 1) * width], "little")
-        out.append(c % p if p else c)
-    return out
+        wide = np.zeros((count, 8), dtype=np.uint8)
+        wide[:, :width] = np.frombuffer(buf, np.uint8).reshape(count, width)
+        return (wide.view("<u8").reshape(count) % p).astype(np.int64)
+    cs = [int.from_bytes(buf[i * width : (i + 1) * width], "little") % p for i in range(count)]
+    return np.array(cs, dtype=cyclic_dtype(p))
 
 
-def _mul_kronecker_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+def _mul_kronecker_mod(a, b, p: int) -> np.ndarray:
     """Exact product of mod-p coefficient vectors via integer packing.
 
     Every product coefficient lies in [0, min(la, lb) * (p-1)^2], so
@@ -140,17 +144,18 @@ def _mul_kronecker_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1, p)
 
 
-def mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    """Product of two nonzero coefficient vectors, reduced mod p, not trimmed."""
+def mul_mod(a, b, p: int) -> np.ndarray:
+    """Product of two coefficient vectors, reduced mod p, not trimmed."""
+    dtype = cyclic_dtype(p)
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
-        return []
+        return np.zeros(0, dtype=dtype)
     if la <= _TINY and lb <= _TINY:
-        return [c % p for c in _mul_school(a, b)]
+        return np.array([c % p for c in _mul_school(a.tolist(), b.tolist())], dtype=dtype)
     short = min(la, lb)
     if short <= _KRONECKER_CUTOFF and short * (p - 1) * (p - 1) < _I64_SAFE:
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return (out % p).tolist()
+        return np.convolve(a, b) % p
     return _mul_kronecker_mod(a, b, p)
 
 
@@ -177,8 +182,7 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     """
     square = a is b
     dtype = cyclic_dtype(p)
-    a = np.asarray(a, dtype=dtype)
-    b = np.asarray(b, dtype=dtype)
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
     la, lb = len(a), len(b)
     if not (0 < la <= n and 0 < lb <= n):
         raise ValueError(f"operand lengths {la}, {lb} outside 1..{n}")
@@ -187,9 +191,7 @@ def mul_cyclic_mod(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     x = x * x if square else x * _pack(b, width)
     shift = 8 * width * n
     x = (x & ((1 << shift) - 1)) + (x >> shift)
-    if width <= 8:
-        return (_words(x.to_bytes(width * n, "little"), width, n) % p).astype(np.int64)
-    return np.array(_unpack(x, width, n, p), dtype=dtype)
+    return _unpack(x, width, n, p)
 
 
 def mul_int(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -210,32 +212,18 @@ def mul_int(a: Sequence[int], b: Sequence[int]) -> List[int]:
 # division
 
 
-def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
-    """Quotient and remainder of coefficient vectors over F_p.
+def _divrem_loop(a: List[int], b: List[int], p: int):
+    """Long division of trimmed lists, len(a) > len(b) - 1, on Python ints.
 
-    `b` must be nonzero (trimmed).  Returns trimmed lists.
-
-    A divisor of degree at least `_DIV_SHORT` with a quotient of at
-    least `_NEWTON_MIN` coefficients goes to `_divrem_newton`; every
-    other division runs the loop below on Python ints.  The loop
-    reduces lazily: the leading entry is reduced when its quotient
+    Reduces lazily: the leading entry is reduced when its quotient
     coefficient is read off, the others only once, in the remainder.
     """
-    b = trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = trim(a)
     m = len(b) - 1
-    steps = len(a) - m
-    if steps <= 0:
-        return [], a
-    if m >= _DIV_SHORT and steps >= _NEWTON_MIN:
-        return _divrem_newton(a, b, p)
     inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    q = [0] * steps
+    q = [0] * (len(a) - m)
     r = list(a)
     low = b[:m]
-    for i in range(steps - 1, -1, -1):
+    for i in range(len(q) - 1, -1, -1):
         c = (r[i + m] * inv_lead) % p
         q[i] = c
         if c:
@@ -244,7 +232,39 @@ def divrem_mod(a: Sequence[int], b: Sequence[int], p: int):
     return q, trim([x % p for x in r[:m]])
 
 
-def _reciprocal(f: Sequence[int], k: int, p: int) -> List[int]:
+def divrem_mod(a, b, p: int, inv=None):
+    """Quotient and remainder over F_p, as trimmed arrays; `b` must be nonzero.
+
+    With m = deg b and steps quotient coefficients, the quotient comes
+    from `_divrem_newton` once m >= `_DIV_SHORT` and steps >=
+    `_NEWTON_MIN`, or a kept reciprocal `inv` (rev(b)^-1 mod t^k, k >=
+    steps) is given.  Below that, by `_TOP_MIN`'s rule (which implies
+    m >= 32 and c = m + 1 - steps > 0), it comes from the loop on the
+    top coefficients: with a = t^c A + a0, b = t^c B + b0 and deg a0,
+    deg b0 < c, Q = A quo B leaves a - Q b = t^c (A - Q B) + a0 - Q b0
+    of degree below m, so Q is the quotient; the remainder takes one
+    product.  Otherwise the loop runs on the whole operands.
+    """
+    dtype = cyclic_dtype(p)
+    b = trim(np.asarray(b, dtype=dtype))
+    if not len(b):
+        raise ZeroDivisionError("polynomial division by zero")
+    a = trim(np.asarray(a, dtype=dtype))
+    m = len(b) - 1
+    steps = len(a) - m
+    if steps <= 0:
+        return a[:0], a
+    if m >= _DIV_SHORT and (steps >= _NEWTON_MIN or inv is not None):
+        return _divrem_newton(a, b, p, inv)
+    if (steps + 1) * m >= 2 * steps * steps + _TOP_MIN:
+        q = _divrem_loop(a[1 - 2 * steps :].tolist(), b[-steps:].tolist(), p)[0]
+        q = np.array(q, dtype=dtype)
+        return q, trim((a[:m] - mul_mod(q, b[:m], p)[:m]) % p)
+    q, r = _divrem_loop(a.tolist(), b.tolist(), p)
+    return np.array(q, dtype=dtype), np.array(r, dtype=dtype)
+
+
+def _reciprocal(f, k: int, p: int) -> np.ndarray:
     """The k coefficients of g with f * g = 1 (mod t^k, p); f[0] must be a unit.
 
     Newton iteration (von zur Gathen & Gerhard, *Modern Computer
@@ -252,22 +272,26 @@ def _reciprocal(f: Sequence[int], k: int, p: int) -> List[int]:
     mod t^(2h).  The precision runs up through ceil(k / 2^i), so the
     last step lands on k exactly.  Going from h to l, f g - 1 is t^h D
     mod t^l, so the step appends the l - h coefficients of -g D mod
-    t^(l-h) to g.
+    t^(l-h) to g.  The first h <= `_DIV_SHORT` coefficients come from
+    the loop, reversed, as the quotient of t^(2h-2) by rev(f mod t^h)
+    (see `_divrem_newton`).
     """
+    dtype = cyclic_dtype(p)
     precisions = []
-    while k > 1:
+    while k > _DIV_SHORT:
         precisions.append(k)
         k = (k + 1) // 2
-    g = [pow(f[0], p - 2, p)]
+    low = [0] * (k - len(f[:k])) + [int(c) for c in f[:k][::-1]]  # rev(f mod t^k)
+    g = np.array(_divrem_loop([0] * (2 * k - 2) + [1], low, p)[0][::-1], dtype=dtype)
     for prec in reversed(precisions):
         h = len(g)
         delta = mul_mod(f[:prec], g, p)[h:prec]
         step = mul_mod(g[: prec - h], delta, p)[: prec - h]
-        g += [-c % p for c in step] + [0] * (prec - h - len(step))
+        g = np.concatenate((g, -step % p, np.zeros(prec - h - len(step), dtype=dtype)))
     return g
 
 
-def _divrem_newton(a: Sequence[int], b: Sequence[int], p: int, inv=None):
+def _divrem_newton(a, b, p: int, inv=None):
     """`divrem_mod` for trimmed a, b with deg a >= deg b, by one reciprocal.
 
     With m = deg b and steps = deg a - m + 1, reversal turns a = q b + r
@@ -275,57 +299,63 @@ def _divrem_newton(a: Sequence[int], b: Sequence[int], p: int, inv=None):
     b's unit leading coefficient, so rev(q) = rev(a) / rev(b) mod
     t^steps: one `_reciprocal` and one product.  Then r = a - q b, of
     which only the m low coefficients are nonzero.  Every product goes
-    through `mul_mod`, exact at any p, and the subtraction runs on
-    Python ints, so this route needs no bound on p.
-
+    through `mul_mod`, exact at any p, so this route needs no bound on p.
     A given `inv` = rev(b)^-1 mod t^k, k >= steps, is cut to t^steps.
     """
     m = len(b) - 1
     steps = len(a) - m
     g = _reciprocal(b[::-1], steps, p) if inv is None else inv[:steps]
     q = mul_mod(a[m:][::-1], g, p)[steps - 1 :: -1]
-    low = mul_mod(q[:m], b[:m], p)
-    return q, trim([(x - y) % p for x, y in zip(a[:m], low)])
+    return q, trim((a[:m] - mul_mod(q[:m], b[:m], p)[:m]) % p)
 
 
-def gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    """Monic gcd over F_p (the zero polynomial for gcd(0, 0))."""
-    a, b = trim(a), trim(b)
-    if (
-        len(a) > _DIV_SHORT
-        and len(b) > _DIV_SHORT
-        and max(len(a), len(b)) * (p - 1) * (p - 1) + p < _I64_SAFE
-    ):
+def gcd_mod(a, b, p: int) -> np.ndarray:
+    """Monic gcd over F_p as an array (the zero polynomial for gcd(0, 0))."""
+    dtype = cyclic_dtype(p)
+    a, b = trim(np.asarray(a, dtype=dtype)), trim(np.asarray(b, dtype=dtype))
+    short, long = sorted((len(a), len(b)))
+    if short <= _DIV_SHORT:  # every division takes the loop: run it on lists
+        a, b = sorted((a.tolist(), b.tolist()), key=len, reverse=True)
+        while b:
+            a, b = b, _divrem_loop(a, b, p)[1]
+        a = np.array(a, dtype=dtype)
+    elif long * (p - 1) * (p - 1) + p < _I64_SAFE:
         a = _gcd_mod_inplace(a, b, p)
     else:
-        while b:
-            _, r = divrem_mod(a, b, p)
-            a, b = b, r
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
+        while len(b):
+            a, b = b, divrem_mod(a, b, p)[1]
+    if len(a) and a[-1] != 1:
+        return mul_mod(a, [pow(int(a[-1]), -1, p)], p)
     return a
 
 
-def _gcd_mod_inplace(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+def _gcd_mod_inplace(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """A gcd, not yet monic, by Euclid on int64 arrays held across steps.
 
-    Each division reduces lazily, as in `divrem_mod`: its steps are
-    fewer than max(len(a), len(b)), which the caller's bound covers,
-    and the remainder is reduced once before it becomes the divisor.
+    Euclid reduces mod p only where the bound in the module docstring
+    calls for it, with `ha` and `hb` bounding the entries of dividend
+    and divisor.  The caller's bound makes one division from reduced
+    operands fit, as its steps are fewer than max(len(a), len(b)).
     """
-    ra = np.asarray(a, dtype=np.int64)
-    rb = np.asarray(b, dtype=np.int64)
+    ra = np.array(a, dtype=np.int64)  # copies: Euclid writes into both
+    rb = np.array(b, dtype=np.int64)
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         ra, rb, da, db = rb, ra, db, da
+    ha = hb = p - 1
     tmp = np.empty(max(da, db) + 1, dtype=np.int64)
+    c = np.empty((), dtype=np.int64)  # numpy multiplies by it faster than by an int
     while db >= 0:
-        inv = pow(rb.item(db), p - 2, p)
+        grow = (da - db + 1) * (p - 1)  # times the divisor's bound
+        if ha + grow * hb >= _I64_SAFE:
+            np.remainder(ra[: da + 1], p, out=ra[: da + 1])
+            np.remainder(rb[: db + 1], p, out=rb[: db + 1])
+            ha = hb = p - 1
+        inv = pow(rb.item(db), -1, p)
         t = tmp[:db]
         low = rb[:db]
         while da >= db:
-            c = (ra.item(da) * inv) % p
+            c[()] = (ra.item(da) * inv) % p
             if c:
                 seg = ra[da - db : da]
                 np.multiply(low, c, out=t)
@@ -333,6 +363,5 @@ def _gcd_mod_inplace(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
             da -= 1
             while da >= 0 and ra.item(da) % p == 0:
                 da -= 1
-        np.remainder(ra[: da + 1], p, out=ra[: da + 1])
-        ra, rb, da, db = rb, ra, db, da
-    return ra[: da + 1].tolist()
+        ra, rb, da, db, ha, hb = rb, ra, db, da, hb, ha + grow * hb
+    return ra[: da + 1] % p

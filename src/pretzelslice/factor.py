@@ -490,49 +490,45 @@ _ORBIT_CELLS = 30000
 
 
 class _Node:
-    """A piece of a degree class in its split tree (see `_edf_cyclic`)."""
+    """A monic piece of a degree class in its split tree (see `_edf_cyclic`)."""
 
     __slots__ = ("poly", "kids", "open", "inv")
 
-    def __init__(self, poly: ModPoly):
-        self.poly = poly
+    def __init__(self, poly: np.ndarray):
+        self.poly = poly  # coefficients, dtype `_k.cyclic_dtype(p)`
         self.kids: Optional[List[_Node]] = None  # None for a leaf
         self.open = True  # a pending piece, or an ancestor of one
         self.inv = None  # rev(poly)^-1 mod t^(deg parent - deg poly), once taken
 
 
-def _rem_below(r: ModPoly, node: _Node, above: int) -> ModPoly:
-    """r mod node.poly for deg r < above = deg parent.  The reciprocal at
-    precision above - deg node, where `divrem_mod`'s rule takes it, is kept."""
-    b = node.poly.coeffs
-    m = len(b) - 1
-    if len(r.coeffs) <= m:
-        return r
-    if node.inv is None and m >= _k._DIV_SHORT and above - m >= _k._NEWTON_MIN:
-        node.inv = _k._reciprocal(b[::-1], above - m, r.p)
-    if node.inv is None:
-        return r.divrem(node.poly)[1]
-    return ModPoly._of(r.p, _k._divrem_newton(r.coeffs, b, r.p, node.inv)[1])
+def _refine(root: _Node, w: np.ndarray, k: int, p: int, done: List[Tuple[ModPoly, int]]):
+    """One round on class k's tree: gcd each pending leaf with w mod itself.
 
-
-def _refine(root: _Node, w: ModPoly, k: int, done: List[Tuple[ModPoly, int]]):
-    """One round on class k's tree: gcd each pending leaf with w mod itself."""
+    A kid of degree m >= `_k._DIV_SHORT` keeps its reciprocal at the
+    precision deg parent - m, which bounds the quotient of every
+    remainder passed down to it, once that reaches `_k._NEWTON_MIN`,
+    where `divrem_mod` would take one.
+    """
     seen = []  # parents before children
-    stack = [(root, w.divrem(root.poly)[1])]
+    stack = [(root, _k.divrem_mod(w, root.poly, p)[1])]
     while stack:
         node, r = stack.pop()
         seen.append(node)
         if node.kids is not None:
+            above = len(node.poly) - 1
             for kid in reversed(node.kids):
+                m = len(kid.poly) - 1
                 if kid.open:
-                    stack.append((kid, _rem_below(r, kid, node.poly.degree)))
+                    if kid.inv is None and m >= _k._DIV_SHORT and above - m >= _k._NEWTON_MIN:
+                        kid.inv = _k._reciprocal(kid.poly[::-1], above - m, p)
+                    stack.append((kid, _k.divrem_mod(r, kid.poly, p, kid.inv)[1]))
             continue
-        g = node.poly.gcd(r)
-        if 0 < g.degree < node.poly.degree:
-            node.kids = [_Node(g.monic()), _Node(node.poly.divrem(g)[0].monic())]
+        g = _k.gcd_mod(node.poly, r, p)
+        if 1 < len(g) < len(node.poly):
+            node.kids = [_Node(g), _Node(_k.divrem_mod(node.poly, g, p)[0])]
             for kid in node.kids:
-                if kid.poly.degree == k:
-                    done.append((kid.poly, k))
+                if len(kid.poly) == k + 1:
+                    done.append((ModPoly._of(p, kid.poly.tolist()), k))
                     kid.open = False
     for node in reversed(seen):
         if node.kids is not None:
@@ -585,7 +581,8 @@ def _edf_cyclic(
             done.append((piece, k))
         else:
             product[k] = piece if k not in product else product[k] * piece
-    roots = {k: _Node(P) for k, P in product.items()}
+    dtype = _k.cyclic_dtype(p)
+    roots = {k: _Node(np.array(P.coeffs, dtype=dtype)) for k, P in product.items()}
     total = sum(P.degree for P in product.values())
     rng = CounterRng(seed, "edf-cyclic", p, n, total)
     label, orbits = _frobenius_orbits(n, p)
@@ -599,18 +596,17 @@ def _edf_cyclic(
         rounds += 1
         if rounds > 64 + 8 * max(1, total.bit_length()):
             raise ArithmeticError("cyclic equal-degree split stalled")  # pragma: no cover
-        c = np.array(rng.coeffs(orbits, p), dtype=_k.cyclic_dtype(p))
+        c = np.array(rng.coeffs(orbits, p), dtype=dtype)
         if p == 2:
-            w = c[label].tolist()
+            w = c[label]
         else:
             if table is None:
-                w = _ring_pow(c[label], e, n, p).tolist()
+                w = _ring_pow(c[label], e, n, p).copy()  # the power is x itself at e = 1
             else:
-                w = _orbit_pow(c, e, table, label, p)[label].tolist()
+                w = _orbit_pow(c, e, table, label, p)[label]
             w[0] = (w[0] - 1) % p
-        w = ModPoly._of(p, _k.trim(w))
         for k, root in list(roots.items()):
-            _refine(root, w, k, done)
+            _refine(root, w, k, p, done)
             if not root.open:
                 del roots[k]
     return done

@@ -28,8 +28,8 @@ stay with each ring.
 
 Coefficients are exact Python integers.  Products over Z, and products,
 division and gcd over F_p, go through `_kernels`, which picks a route
-from the operand lengths (and, for products and gcd, a worst-case int64
-bound); exact division over Z is a plain Python loop.
+from p and the operand lengths; over F_p its results are arrays, read
+back into tuples here.  Exact division over Z is a plain Python loop.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ class ModPoly(_Poly):
         if not self.coeffs or not other.coeffs:
             return ModPoly(self.p)
         # the leading coefficient is a product of units mod p, so nonzero
-        return ModPoly._of(self.p, _k.mul_mod(self.coeffs, other.coeffs, self.p))
+        return ModPoly._of(self.p, _k.mul_mod(self.coeffs, other.coeffs, self.p).tolist())
 
     def scale(self, c: int) -> "ModPoly":
         c %= self.p
@@ -304,12 +304,12 @@ class ModPoly(_Poly):
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q, r = _k.divrem_mod(self.coeffs, den.coeffs, self.p)
-        return ModPoly._of(self.p, q), ModPoly._of(self.p, r)
+        return ModPoly._of(self.p, q.tolist()), ModPoly._of(self.p, r.tolist())
 
     def gcd(self, other: "ModPoly") -> "ModPoly":
         """Monic greatest common divisor."""
         self._match(other)
-        return ModPoly._of(self.p, _k.gcd_mod(self.coeffs, other.coeffs, self.p))
+        return ModPoly._of(self.p, _k.gcd_mod(self.coeffs, other.coeffs, self.p).tolist())
 
     def monic(self) -> "ModPoly":
         if not self.coeffs or self.coeffs[-1] == 1:

@@ -22,6 +22,11 @@ P31 = (1 << 31) - 1  # the largest prime below 2^31
 PRIMES = (2, 3, 5, 13, 97, 251, 257, 4099, 65521, 65537, 1048573, 16777213, P31, M61)
 
 
+def lists(x):
+    """A kernel's array result, or a tuple of them, read back as lists."""
+    return tuple(lists(y) for y in x) if isinstance(x, tuple) else x.tolist()
+
+
 def ref_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -101,7 +106,7 @@ def test_mul_mod_at_the_schoolbook_cutoff(p, la, lb, monkeypatch):
     school = spy(monkeypatch, "_mul_school")
     rng = random.Random(la * 1000 + lb + p)
     a, b = vec(rng, la, p), vec(rng, lb, p)
-    assert _k.mul_mod(a, b, p) == ref_mul_mod(a, b, p)
+    assert lists(_k.mul_mod(a, b, p)) == ref_mul_mod(a, b, p)
     assert len(school) == (la <= _k._TINY and lb <= _k._TINY)
 
 
@@ -116,8 +121,8 @@ def test_mul_mod_at_the_kronecker_cutoff(p, short, long, monkeypatch):
     packed = spy(monkeypatch, "_mul_kronecker_mod")
     rng = random.Random(short * 7 + long + p)
     a, b = vec(rng, long, p), vec(rng, short, p)
-    assert _k.mul_mod(a, b, p) == ref_mul_mod(a, b, p)
-    assert _k.mul_mod(b, a, p) == ref_mul_mod(a, b, p)
+    assert lists(_k.mul_mod(a, b, p)) == ref_mul_mod(a, b, p)
+    assert lists(_k.mul_mod(b, a, p)) == ref_mul_mod(a, b, p)
     assert len(packed) == 2 * (short > _k._KRONECKER_CUTOFF)
 
 
@@ -130,7 +135,7 @@ def test_mul_mod_packs_past_the_int64_bound_at_any_length(monkeypatch):
         for la, lb in ((_k._TINY + 1, 1), (_k._TINY + 1, 2), (40, 40)):
             a, b = vec(rng, la, p), vec(rng, lb, p)
             before = len(packed)
-            assert _k.mul_mod(a, b, p) == ref_mul_mod(a, b, p)
+            assert lists(_k.mul_mod(a, b, p)) == ref_mul_mod(a, b, p)
             fits = min(la, lb) * (p - 1) ** 2 < _k._I64_SAFE
             assert len(packed) - before == (not fits)
     assert len(packed) == 5
@@ -164,7 +169,7 @@ def test_kronecker_product_at_each_packed_width(width):
         # the extreme coefficient p - 1 everywhere hits the width's bound
         top = [p - 1] * la, [p - 1] * lb
         for x, y in ((a, b), top):
-            assert _k._mul_kronecker_mod(x, y, p) == ref_mul_mod(x, y, p)
+            assert lists(_k._mul_kronecker_mod(x, y, p)) == ref_mul_mod(x, y, p)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 9, 16])
@@ -173,8 +178,9 @@ def test_pack_unpack_round_trip(width):
     top = 256**width - 1
     cs = [0, top, 1, top - 1] + [rng.randrange(top + 1) for _ in range(40)] + [top]
     x = _k._pack(cs, width)
-    assert _k._unpack(x, width, len(cs), 0) == cs
-    assert _k._unpack(x, width, len(cs), 97) == [c % 97 for c in cs]
+    # past the top coefficient at widths 1..7 and 9, so there x reads back as cs
+    for p in (97, P63_TOP if width <= 8 else M89):
+        assert _k._unpack(x, width, len(cs), p).tolist() == [c % p for c in cs]
 
 
 def test_exact_width_is_the_byte_length_of_the_bound():
@@ -217,7 +223,7 @@ def test_mul_int_packed_widths_with_both_signs():
 
 
 def _check_divrem(a, b, p):
-    q, r = _k.divrem_mod(a, b, p)
+    q, r = lists(_k.divrem_mod(a, b, p))
     assert (q, r) == ref_divrem(a, b, p)
 
 
@@ -231,7 +237,7 @@ def test_divrem_at_the_divisor_degree_cutoff(m, steps, p, monkeypatch):
     a = vec(rng, m + steps, p)
     for divisor in (b, b[:-1] + [1]):
         del newton[:]
-        assert _k.divrem_mod(a, divisor, p) == ref_divrem(a, divisor, p)
+        assert lists(_k.divrem_mod(a, divisor, p)) == ref_divrem(a, divisor, p)
         assert len(newton) == newton_taken(m, steps)
     a, b = worst_division(p, m, steps)
     _check_divrem(a, b, p)
@@ -272,11 +278,11 @@ def test_divrem_at_the_int64_step_bound(p_bits, monkeypatch):
     for steps in (most, most + 1):
         del newton[:]
         a, b = worst_division(p, m, steps)
-        q, r = _k.divrem_mod(a, b, p)
+        q, r = lists(_k.divrem_mod(a, b, p))
         assert q == [p - 1] * steps
         assert (q, r) == ref_divrem(a, b, p)
         a, b = vec(rng, m + steps, p), vec(rng, m + 1, p)
-        assert _k.divrem_mod(a, b, p) == ref_divrem(a, b, p)
+        assert lists(_k.divrem_mod(a, b, p)) == ref_divrem(a, b, p)
         assert len(newton) == 2 * newton_taken(m, steps)
 
 
@@ -326,7 +332,7 @@ def test_divrem_at_the_newton_cutoff(p, shape, monkeypatch):
              worst_division(p, m, steps)]
     for a, divisor in cases:
         del newton[:]
-        assert _k.divrem_mod(a, divisor, p) == ref_divrem(a, divisor, p)
+        assert lists(_k.divrem_mod(a, divisor, p)) == ref_divrem(a, divisor, p)
         assert len(newton) == newton_taken(m, steps)
 
 
@@ -341,9 +347,9 @@ def test_divrem_newton_with_a_kept_reciprocal(p):
         for steps in (1, 2, 31, 32, 63, 64):
             a = vec(rng, m + steps, p)
             want = ref_divrem(a, b, p)
-            assert _k._divrem_newton(a, b, p, kept) == want, (m, steps)
-            assert _k._divrem_newton(a, b, p) == want, (m, steps)
-        assert kept == _k._reciprocal(b[::-1], 64, p)
+            assert lists(_k._divrem_newton(a, b, p, kept)) == want, (m, steps)
+            assert lists(_k._divrem_newton(a, b, p)) == want, (m, steps)
+        assert lists(kept) == lists(_k._reciprocal(b[::-1], 64, p))
 
 @pytest.mark.parametrize("p", [2, 3, 97])
 @pytest.mark.parametrize("m", [_k._DIV_SHORT, 300])
@@ -353,7 +359,7 @@ def test_divrem_newton_with_quotients_past_the_kronecker_cutoff(p, m, steps, mon
     packed = spy(monkeypatch, "_mul_kronecker_mod")
     rng = random.Random(m + steps + p)
     for a, b in ((vec(rng, m + steps, p), vec(rng, m + 1, p)), worst_division(p, m, steps)):
-        assert _k.divrem_mod(a, b, p) == ref_divrem(a, b, p)
+        assert lists(_k.divrem_mod(a, b, p)) == ref_divrem(a, b, p)
     assert len(newton) == 2
     # rev(a) times the reciprocal: both operands have `steps` coefficients
     assert len(packed) >= 2
@@ -379,7 +385,7 @@ def test_divrem_newton_at_the_int64_step_bound(p_bits, monkeypatch):
     for steps in (most, most + 1):
         del newton[:], packed[:]
         a, b = worst_division(p, most + 1, steps)
-        q, r = _k.divrem_mod(a, b, p)
+        q, r = lists(_k.divrem_mod(a, b, p))
         assert q == [p - 1] * steps
         assert (q, r) == ref_divrem(a, b, p)
         assert len(newton) == 1
@@ -406,13 +412,13 @@ def test_divrem_newton_products_at_the_int64_bound(steps, monkeypatch):
     packed = spy(monkeypatch, "_mul_kronecker_mod")
     for m in (LAST_I64_DIV + 1, 200):
         a, b = worst_division(p, m, steps)
-        q, r = _k.divrem_mod(a, b, p)
+        q, r = lists(_k.divrem_mod(a, b, p))
         assert q == [p - 1] * steps
         assert (q, r) == ref_divrem(a, b, p)
     rng = random.Random(steps)
     cut = _k._NEWTON_MIN
     a, b = vec(rng, cut + steps, p), vec(rng, cut + 1, p)
-    assert _k.divrem_mod(a, b, p) == ref_divrem(a, b, p)
+    assert lists(_k.divrem_mod(a, b, p)) == ref_divrem(a, b, p)
     assert len(newton) == 3
     assert bool(packed) == (steps > LAST_I64_DIV)
 
@@ -438,14 +444,55 @@ def test_reciprocal_inverts_mod_every_power_of_t(p):
         f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(length - 1)]
         want = ref_inverse_series(f, 300, p)
         for k in range(1, 301):
-            assert _k._reciprocal(f, k, p) == want[:k], (length, k)
+            assert lists(_k._reciprocal(f, k, p)) == want[:k], (length, k)
 
 
 def test_divrem_short_dividend_and_zero_divisor():
-    assert _k.divrem_mod([1, 2], [3, 4, 5], 7) == ([], [1, 2])
-    assert _k.divrem_mod([0, 0], [1, 1], 7) == ([], [])
+    assert lists(_k.divrem_mod([1, 2], [3, 4, 5], 7)) == ([], [1, 2])
+    assert lists(_k.divrem_mod([0, 0], [1, 1], 7)) == ([], [])
     with pytest.raises(ZeroDivisionError):
         _k.divrem_mod([1, 2], [0, 0], 7)
+
+
+# the moduli of the exactness tests: Euclid runs in place up to 65521, the
+# kernels hold int64 arrays up to P63_TOP and Python ints at M89
+EXACT_PRIMES = (2, 3, 97, 65521, M61, P63_TOP, M89)
+
+
+def array_of(cs, p):
+    return np.array(cs, dtype=_k.cyclic_dtype(p))
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_divrem_over_the_shape_grid(p, monkeypatch):
+    """`divrem_mod` against `ref_divrem` over m x steps, on lists and on
+    arrays, which it leaves as they were.  Below `_NEWTON_MIN` steps, where
+    `_TOP_MIN`'s rule holds, the loop sees only the top `steps`
+    coefficients of the divisor; a kept reciprocal takes every shape from
+    m = `_DIV_SHORT` on to Newton."""
+    loops = spy(monkeypatch, "_divrem_loop")
+    newton = spy(monkeypatch, "_divrem_newton")
+    rng = random.Random(p % 10007)
+    for m in (1, _k._DIV_SHORT - 1, _k._DIV_SHORT, _k._DIV_SHORT + 1, 32, 48, 128, 450):
+        b = vec(rng, m + 1, p)
+        kept = _k._reciprocal(b[::-1], 40, p)
+        for steps in (1, 2, 8, 16, 17, 31, 32, 40):
+            by_newton = newton_taken(m, steps)
+            on_top = (steps + 1) * m >= 2 * steps * steps + _k._TOP_MIN
+            top = steps if on_top else m + 1
+            for a, d in ((vec(rng, m + steps, p), b), worst_division(p, m, steps)):
+                want = ref_divrem(a, d, p)
+                x, y = array_of(a, p), array_of(d, p)
+                del loops[:], newton[:]
+                assert lists(_k.divrem_mod(a, d, p)) == want, (m, steps)
+                assert lists(_k.divrem_mod(x, y, p)) == want, (m, steps)
+                assert x.tolist() == a and y.tolist() == d
+                assert len(newton) == 2 * by_newton
+                if not by_newton:  # else the reciprocal's first terms take the loop
+                    assert [len(args[1]) for args in loops] == [top] * 2
+            del newton[:]
+            assert lists(_k.divrem_mod(a, b, p, kept)) == ref_divrem(a, b, p)
+            assert len(newton) == (m >= _k._DIV_SHORT)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +503,10 @@ def test_divrem_short_dividend_and_zero_divisor():
 @pytest.mark.parametrize("p", [2, 97, 65521, P31, M61])
 def test_gcd_at_the_inplace_cutoff(n, p, monkeypatch):
     """Euclid in place once both inputs pass `_DIV_SHORT` under the int64
-    bound, repeated `divrem_mod` otherwise (M61 never meets the bound)."""
+    bound, the division loop on lists while one has at most `_DIV_SHORT`,
+    repeated `divrem_mod` otherwise (M61 never meets the bound)."""
     divisions = spy(monkeypatch, "divrem_mod")
+    loops = spy(monkeypatch, "_divrem_loop")
     rng = random.Random(n + p)
     k = min(17, n // 2)
     g = vec(rng, k, p, top=1)
@@ -466,19 +515,84 @@ def test_gcd_at_the_inplace_cutoff(n, p, monkeypatch):
     a, b = ref_mul_mod(g, u, p), ref_mul_mod(g, v, p)
     coprime = vec(rng, n, p), vec(rng, n + 1, p)
     for x, y in ((a, b), (b, a), coprime):
-        del divisions[:]
-        got = _k.gcd_mod(x, y, p)
+        del divisions[:], loops[:]
+        got = lists(_k.gcd_mod(x, y, p))
         assert got == ref_gcd(x, y, p)
-        inplace = (min(len(x), len(y)) > _k._DIV_SHORT
-                   and max(len(x), len(y)) * (p - 1) ** 2 + p < _k._I64_SAFE)
-        assert (len(divisions) == 0) == inplace
+        short = min(len(x), len(y)) <= _k._DIV_SHORT
+        inplace = not short and max(len(x), len(y)) * (p - 1) ** 2 + p < _k._I64_SAFE
+        assert bool(divisions) == (not short and not inplace)
+        assert bool(loops) or not short
     assert len(_k.gcd_mod(a, b, p)) >= k
 
 
 def test_gcd_of_zeros_and_units():
-    assert _k.gcd_mod([], [], 5) == []
-    assert _k.gcd_mod([0, 3], [], 5) == [0, 1]
-    assert _k.gcd_mod([2], [1, 1], 5) == [1]
+    assert lists(_k.gcd_mod([], [], 5)) == []
+    assert lists(_k.gcd_mod([0, 3], [], 5)) == [0, 1]
+    assert lists(_k.gcd_mod([2], [1, 1], 5)) == [1]
+
+
+def euclid_lengths(a, b, p):
+    """The lengths of dividend and divisor at each division of Euclid on
+    a, b, longer first."""
+    a, b = ref_trim(a), ref_trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    out = []
+    while b:
+        out.append((len(a), len(b)))
+        a, b = b, ref_divrem(a, b, p)[1]
+    return out
+
+
+def reductions(a, b, p):
+    """The index and operand lengths of each division before which the
+    in-place Euclid reduces mod p, by the bound in the `_kernels` docstring."""
+    out, ha, hb = [], p - 1, p - 1
+    for i, (la, lb) in enumerate(euclid_lengths(a, b, p)):
+        steps = la - lb + 1
+        if ha + steps * (p - 1) * hb >= _k._I64_SAFE:
+            out.append((i, la, lb))
+            ha = hb = p - 1
+        ha, hb = hb, ha + steps * (p - 1) * hb
+    return out
+
+
+@pytest.mark.parametrize("p, n, crossing", [
+    (2, 120, "many"), (3, 100, "many"), (97, 100, "many"),
+    (65521, 100, 2), (200_000_033, 100, 1),  # P_MID: in place up to 115 coefficients
+    (M61, 100, None), (P63_TOP, 60, None), (M89, 60, None),
+])
+def test_gcd_reduces_lazily_and_exactly(p, n, crossing, monkeypatch):
+    """`gcd_mod` against repeated `ref_divrem`, on inputs whose in-place
+    Euclid first reduces mod p after one, two or many divisions (past the
+    int64 bound it divides repeatedly and never does), on lists and on
+    arrays, which it leaves as they were.  The Euclid reduces dividend and
+    divisor (two `np.remainder` calls) exactly where the bound says it must."""
+    remainders = []
+    remainder = np.remainder
+
+    def counted(*args, **kwargs):
+        remainders.append(args)
+        return remainder(*args, **kwargs)
+
+    monkeypatch.setattr(np, "remainder", counted)
+    rng = random.Random(p % 10007 + n)
+    k = 17
+    g = vec(rng, k, p, top=1)
+    a, b = ref_mul_mod(g, vec(rng, n - k + 1, p), p), ref_mul_mod(g, vec(rng, n - k, p), p)
+    inplace = n * (p - 1) ** 2 + p < _k._I64_SAFE
+    for x, y in ((a, b), (vec(rng, n, p), vec(rng, n - 1, p))):
+        at = reductions(x, y, p) if inplace else []
+        first = at[0][0] if at else None
+        assert (first is not None and first >= 5) if crossing == "many" else first == crossing
+        want = ref_gcd(x, y, p)
+        del remainders[:]
+        assert lists(_k.gcd_mod(x, y, p)) == want
+        assert [len(args[0]) for args in remainders] == [n for _, la, lb in at for n in (la, lb)]
+        xa, ya = array_of(x, p), array_of(y, p)
+        assert lists(_k.gcd_mod(ya, xa, p)) == want
+        assert xa.tolist() == x and ya.tolist() == y
+    assert len(ref_gcd(a, b, p)) >= k
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +616,14 @@ def test_ring_mul_is_the_product_reduced_mod_t_n_minus_1(n, p):
     assert len(got) == n
     assert got == ref_cyclic(a, b, n, p)
     # also against mul_mod followed by the reduction
-    raw = _k.mul_mod(a, b, p)
+    raw = lists(_k.mul_mod(a, b, p))
     want = [sum(raw[k::n]) % p for k in range(n)]
     assert got == want
 
 
 def folded_mul_mod(a, b, n, p):
     """`mul_mod` followed by an explicit fold of the wrap-around."""
-    raw = _k.mul_mod(a, b, p)
+    raw = lists(_k.mul_mod(a, b, p))
     return [sum(raw[k::n]) % p for k in range(n)]
 
 
@@ -566,7 +680,6 @@ def test_mul_cyclic_mod_at_the_int64_bound(short, monkeypatch):
 
 @pytest.mark.parametrize("width", range(1, 10))
 def test_mul_cyclic_mod_at_each_packed_width(width, monkeypatch):
-    monkeypatch.setattr(_k, "_KRONECKER_CUTOFF", 0)
     packed = spy(monkeypatch, "_pack")
     p, n = _width_cases(CYCLIC_WIDTH_LENGTHS)[width]
     rng = random.Random(width)
