@@ -14,7 +14,10 @@ constant on its orbits are fixed and take values in F_p modulo every
 factor: equal-degree splitting draws those, powers them in orbit values
 and reduces down each class's tree of splits, with no norm.  The
 Frobenius gcds of distinct-degree splitting and of Rabin's test
-collapse to gcds with t^g - 1 for divisors g of n.  The ``*_cyclic``
+collapse to gcds with t^g - 1 for divisors g of n.  A class of small
+degree is split only until one factor is isolated; the others are the
+minimal polynomials of powers of its root, read off its power sums by
+Berlekamp-Massey, and kept if they rebuild the class.  The ``*_cyclic``
 entry points validate the divisor claim once on entry and verify
 their output (equal degrees, reconstruction, and Rabin's test once
 per degree class), so they are safe to use as an independent oracle
@@ -23,8 +26,10 @@ for the closed-form counting rules.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -501,13 +506,15 @@ class _Node:
         self.inv = None  # rev(poly)^-1 mod t^(deg parent - deg poly), once taken
 
 
-def _refine(root: _Node, w: np.ndarray, k: int, p: int, done: List[Tuple[ModPoly, int]]):
+def _refine(root: _Node, w: np.ndarray, k: int, p: int, done: List[Tuple[ModPoly, int]],
+            path: bool = False):
     """One round on class k's tree: gcd each pending leaf with w mod itself.
 
     A kid of degree m >= `_k._DIV_SHORT` keeps its reciprocal at the
     precision deg parent - m, which bounds the quotient of every
     remainder passed down to it, once that reaches `_k._NEWTON_MIN`,
-    where `divrem_mod` would take one.
+    where `divrem_mod` would take one.  With `path` the round follows
+    only the path down to the leftmost pending leaf and gcds that leaf.
     """
     seen = []  # parents before children
     stack = [(root, _k.divrem_mod(w, root.poly, p)[1])]
@@ -516,12 +523,12 @@ def _refine(root: _Node, w: np.ndarray, k: int, p: int, done: List[Tuple[ModPoly
         seen.append(node)
         if node.kids is not None:
             above = len(node.poly) - 1
-            for kid in reversed(node.kids):
+            kids = [kid for kid in node.kids if kid.open]
+            for kid in reversed(kids[:1] if path else kids):
                 m = len(kid.poly) - 1
-                if kid.open:
-                    if kid.inv is None and m >= _k._DIV_SHORT and above - m >= _k._NEWTON_MIN:
-                        kid.inv = _k._reciprocal(kid.poly[::-1], above - m, p)
-                    stack.append((kid, _k.divrem_mod(r, kid.poly, p, kid.inv)[1]))
+                if kid.inv is None and m >= _k._DIV_SHORT and above - m >= _k._NEWTON_MIN:
+                    kid.inv = _k._reciprocal(kid.poly[::-1], above - m, p)
+                stack.append((kid, _k.divrem_mod(r, kid.poly, p, kid.inv)[1]))
             continue
         g = _k.gcd_mod(node.poly, r, p)
         if 1 < len(g) < len(node.poly):
@@ -533,6 +540,59 @@ def _refine(root: _Node, w: np.ndarray, k: int, p: int, done: List[Tuple[ModPoly
     for node in reversed(seen):
         if node.kids is not None:
             node.open = any(kid.open for kid in node.kids)
+
+
+# Classes of degree k <= _CONJUGATE_MAX are finished from the conjugates
+# of their first factor (`_edf_cyclic`).  Berlekamp-Massey costs O(k^2) of
+# Python per conjugate, and past this k the tree's remaining rounds are
+# as cheap: finish time over tree time, summed over the grid's classes of
+# each degree (BENCH_25.json `cutoff_table`), reads 0.14 at k = 4, 0.48
+# at 16, 0.57 at 24, 0.97 at 26, 1.09 at 32 and 2.08 at 48.
+_CONJUGATE_MAX = 24
+
+
+def _power_sums(g: np.ndarray, n: int, p: int) -> List[int]:
+    """s_x = sum of beta^x over the roots beta of monic g, for 0 <= x < n.
+
+    s_0 = deg g mod p, and s_x for x >= 1 is coefficient x of -X rev(g)'/rev(g).
+    """
+    rev = g[::-1]  # prod (1 - beta X), constant term 1
+    deriv = [i * int(c) % p for i, c in enumerate(rev.tolist())][1:]
+    series = _k.mul_mod(deriv, _k._reciprocal(rev, n, p), p)[: n - 1]
+    return [(len(g) - 1) % p] + (-series % p).tolist()
+
+
+def _berlekamp_massey(s: Sequence[int], p: int) -> List[int]:
+    """The monic minimal polynomial (ascending) of a linear recurrence
+    over F_p, from at least twice its length of terms s.
+
+    Massey 1969: C is the shortest connection polynomial of the prefix
+    read so far (degree at most L, its length), and B the one before the
+    last length change, whose discrepancy was b, m terms back.
+    """
+    C, B, L, b, m = [1], [1], 0, 1, 1
+    for i in range(len(s)):
+        d = sum(map(operator.mul, C, s[i::-1])) % p
+        if d == 0:
+            m += 1
+            continue
+        coef = d * pow(b, -1, p) % p
+        T, C = C, C + [0] * (len(B) + m - len(C))
+        C[m : m + len(B)] = [(c - coef * y) % p for c, y in zip(C[m:], B)]
+        if 2 * L <= i:
+            L, B, b, m = i + 1 - L, T, d, 1
+        else:
+            m += 1
+    return (C + [0] * L)[L::-1]
+
+
+def _conjugates(g: np.ndarray, n: int, p: int, label: np.ndarray) -> List[List[int]]:
+    """The distinct minimal polynomials of beta^j, beta a root of g, one
+    unit j mod n per orbit of j -> jp (see `_edf_cyclic`)."""
+    k, s = len(g) - 1, _power_sums(g, n, p)
+    hs = [_berlekamp_massey([s[j * i % n] for i in range(2 * k)], p)
+          for j in np.unique(label, return_index=True)[1].tolist() if math.gcd(j, n) == 1]
+    return list({tuple(h): h for h in hs}.values())
 
 
 def _edf_cyclic(
@@ -573,6 +633,29 @@ def _edf_cyclic(
     Leaves are visited left to right, the order a flat list of pieces
     refined in place would have, so factors are found, and a `limit`
     search stops, in that order.
+
+    Small classes (k <= `_CONJUGATE_MAX`, no `limit`) run the tree only
+    until one factor g is isolated, a round following the path to the
+    leftmost pending leaf alone, and take the rest from g (Lidl &
+    Niederreiter, *Finite Fields*, 2.47).  Let g's roots be beta_i =
+    beta^(p^i), i < k, with beta^n = 1.  Power sums: rev(g) =
+    prod (1 - beta_i X), so in any characteristic rev(g)'/rev(g) =
+    -sum_(x >= 0) s_(x+1) X^x with s_x = sum_i beta_i^x, which depends
+    on x mod n, and s_0 = k mod p (`_power_sums`).  Conjugates: for a
+    unit j mod n, u_m = s_(jm mod n) = sum_i gamma_i^m with gamma_i =
+    beta^(j p^i), distinct as b -> b^j is injective on the n-th roots
+    of unity.  With distinct gamma_i and weights 1, no recurrence is
+    shorter than prod (X - gamma_i) (its first k terms would make a
+    Vandermonde matrix singular), so Berlekamp-Massey on 2k terms
+    returns it (Massey 1969).  Its roots are the Frobenius orbit of
+    beta^j, so it is the minimal polynomial of beta^j, irreducible of
+    degree k; j and jp give the same one, and the units reach every
+    root of beta's order.  Below order n, units repeat a polynomial,
+    kept once.  Class check: distinct irreducibles that multiply to the
+    class product are its factors by unique factorization, so the
+    output is exact; otherwise (a class mixing orders, as in t^n - 1)
+    the tree continues where it stopped.  Every root of Phi_n has order
+    n, so there the check always holds.
     """
     done: List[Tuple[ModPoly, int]] = []
     product: Dict[int, ModPoly] = {}
@@ -589,6 +672,8 @@ def _edf_cyclic(
     e = (p - 1) // 2
     # the power is x itself at p = 3, and p = 2 takes none
     table = _orbit_table(label, orbits) if e > 1 and orbits * n <= _ORBIT_CELLS else None
+    # classes that look for one factor to finish from its conjugates
+    first = {k for k in roots if k <= _CONJUGATE_MAX} if limit is None else set()
     rounds = 0
     while roots:
         if limit is not None and len(done) >= limit:
@@ -606,7 +691,15 @@ def _edf_cyclic(
                 w = _orbit_pow(c, e, table, label, p)[label]
             w[0] = (w[0] - 1) % p
         for k, root in list(roots.items()):
-            _refine(root, w, k, p, done)
+            start = len(done)
+            _refine(root, w, k, p, done, path=k in first)
+            if k in first and len(done) > start:
+                first.discard(k)
+                conj = _conjugates(np.array(done[start][0].coeffs, dtype=dtype), n, p, label)
+                if len(conj) * k == len(root.poly) - 1 and np.array_equal(
+                        functools.reduce(lambda a, b: _k.mul_mod(a, b, p), conj), root.poly):
+                    done[start:] = [(ModPoly._of(p, h), k) for h in conj]
+                    root.open = False
             if not root.open:
                 del roots[k]
     return done

@@ -303,6 +303,8 @@ class ModPoly(_Poly):
         self._match(den)
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if len(self.coeffs) < len(den.coeffs):
+            return ModPoly._of(self.p, ()), self
         q, r = _k.divrem_mod(self.coeffs, den.coeffs, self.p)
         return ModPoly._of(self.p, q.tolist()), ModPoly._of(self.p, r.tolist())
 

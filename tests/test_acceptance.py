@@ -5,6 +5,7 @@ line on success (visible with ``pytest -s`` or in the captured output),
 and ``pytest -v`` gives the per-criterion pass/fail roll-up.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -101,6 +102,18 @@ def test_criterion_5_palindromic_existence_three_way():
         if report.exists:
             assert pow(p, report.w, d) == d - 1, (d, p)
     _ok(5, f"existence rules agree three ways on all {len(grid)} (d, p) pairs")
+
+
+def test_grid_factor_lists_are_pinned():
+    """Every factor list of the grid, through the oracle's memo at the
+    default seed (so criteria 4 and 5 fill it), as frozen before the
+    conjugate finish of small classes: any change to the split that
+    changes a factor shows here."""
+    h = hashlib.sha256()
+    for d, p in _grid():
+        ms = cyc.factor_cyclotomic_oracle(CyclotomicQuery(d, p))
+        h.update(repr([(g.coeffs, m) for g, m in ms]).encode())
+    assert h.hexdigest() == "b4282ec10bf008820c04db74a231a42acc41dd79e23c5bb8637e17af6d6e54d7"
 
 
 def test_criterion_6_product_form_matches_direct_reduction():

@@ -842,12 +842,24 @@ def test_factor_cyclic_leaves_the_random_element_alone(f, n, monkeypatch):
 M61 = (1 << 61) - 1
 
 
+def _leftmost_path(node):
+    """The polynomials of the nodes from `node` down to its leftmost pending leaf."""
+    out = [node.poly]
+    while node.kids is not None:
+        node = next(kid for kid in node.kids if kid.open)
+        out.append(node.poly)
+    return out
+
+
 @pytest.mark.parametrize("p, n, k", [(2, 255, 8), (97, 96, 1), (M61, 90, 1)])
 def test_split_tree_remainders_are_the_direct_ones(p, n, k, monkeypatch):
     """Every pending leaf is gcd'ed with w mod itself, though w is reduced
     only down the leaf's path, and each node reduces by a reciprocal it
     keeps from round to round as a fresh division would.  The tree holds
-    arrays and calls the kernels by their module names."""
+    arrays and calls the kernels by their module names.  The first-factor
+    search (`path`) gcds only the leftmost pending leaf, divides only
+    along the path down to it, and ends the round at the first factor it
+    isolates."""
     parts = [g for g, _ in factor_cyclic(_tn1(p, n), n) if g.degree == k]
     assert len(parts) >= 30
     dtype = _k.cyclic_dtype(p)
@@ -870,32 +882,39 @@ def test_split_tree_remainders_are_the_direct_ones(p, n, k, monkeypatch):
         divisions.append((a.copy(), b, inv, out[1]))
         return out
 
-    root = tree(parts)
-    rng = random.Random(n)
-    kept, reused = {}, 0
-    for _ in range(3):
-        w = np.array([rng.randrange(p) for _ in range(n)], dtype=dtype)
-        del leaves[:], divisions[:]
-        done = []
-        with monkeypatch.context() as patch:
-            patch.setattr(_k, "gcd_mod", leaf_gcd)
-            patch.setattr(_k, "divrem_mod", recorded)
-            factor_mod._refine(root, w, k, p, done)
-        assert leaves and divisions
-        direct = ModPoly(p, w.tolist())
-        for leaf, r in leaves:
-            assert ModPoly(p, r.tolist()) == direct.divrem(ModPoly(p, leaf.tolist()))[1]
-        for a, b, inv, out in divisions:
-            want = ModPoly(p, a.tolist()).divrem(ModPoly(p, b.tolist()))[1]
-            assert out.dtype == dtype and ModPoly(p, out.tolist()) == want
-            if inv is not None:
-                if id(b) in kept:
-                    assert kept[id(b)] is inv
-                    reused += 1
-                kept[id(b)] = inv
-        assert all(g.degree == k and _prod(parts).divrem(g)[1].is_zero() for g, _ in done)
-    if p != 97:
-        assert reused  # deg >= 16 with precision >= 32: p = 97 has none
+    for path in (False, True):
+        root = tree(parts)
+        rng = random.Random(n)
+        kept, reused = {}, 0
+        for _ in range(3):
+            w = np.array([rng.randrange(p) for _ in range(n)], dtype=dtype)
+            del leaves[:], divisions[:]
+            done = []
+            followed = _leftmost_path(root)
+            with monkeypatch.context() as patch:
+                patch.setattr(_k, "gcd_mod", leaf_gcd)
+                patch.setattr(_k, "divrem_mod", recorded)
+                factor_mod._refine(root, w, k, p, done, path=path)
+            assert leaves and divisions
+            if path:  # one division per node of the path, then at most the split's quotient
+                assert len(leaves) == 1 and (leaves[0][0] == followed[-1]).all()
+                assert all(b is node for (_, b, _, _), node in zip(divisions, followed))
+                assert len(followed) <= len(divisions) <= len(followed) + 1
+                assert len(done) <= 2
+            direct = ModPoly(p, w.tolist())
+            for leaf, r in leaves:
+                assert ModPoly(p, r.tolist()) == direct.divrem(ModPoly(p, leaf.tolist()))[1]
+            for a, b, inv, out in divisions:
+                want = ModPoly(p, a.tolist()).divrem(ModPoly(p, b.tolist()))[1]
+                assert out.dtype == dtype and ModPoly(p, out.tolist()) == want
+                if inv is not None:
+                    if id(b) in kept:
+                        assert kept[id(b)] is inv
+                        reused += 1
+                    kept[id(b)] = inv
+            assert all(g.degree == k and _prod(parts).divrem(g)[1].is_zero() for g, _ in done)
+        if p != 97:
+            assert reused  # deg >= 16 with precision >= 32: p = 97 has none
 
 
 def test_exhibited_self_reciprocal_factors_are_pinned():
@@ -972,3 +991,108 @@ def test_public_cyclic_entry_points_reject_a_non_divisor():
         assert call(g, 4)
         with pytest.raises(ValueError, match="does not divide"):
             call(g, 5)
+
+
+# -- the conjugate finish of small degree classes
+
+
+CONJUGATE_CASES = [(d, p) for d in (7, 13, 15, 21, 45, 63, 105, 127)
+                   for p in (2, 3, 5, 97, M61, P63_TOP) if d % p]
+
+
+def _conjugates_of(g, n):
+    p = g.p
+    label, _ = factor_mod._frobenius_orbits(n, p)
+    return factor_mod._conjugates(np.array(g.coeffs, dtype=_k.cyclic_dtype(p)), n, p, label)
+
+
+@pytest.mark.parametrize("d, p", CONJUGATE_CASES)
+def test_conjugates_are_the_generic_factors(d, p):
+    """The conjugates of any one factor of Phi_d mod p are all of its
+    factors, for prime and composite d, and where p divides the degree
+    (d = 13, p = 3: degree 3)."""
+    f = reduced(CyclotomicQuery(d, p))
+    # past the cutoff the tree splits the class alone and is the reference
+    # (the generic route takes a minute at d = 127, p = 2^61 - 1, degree 63)
+    tree = numth.mult_order(p, d) > factor_mod._CONJUGATE_MAX
+    want = factor_cyclic(f, d) if tree else factor(f)
+    factors = sorted(list(g.coeffs) for g, _ in want)
+    for g, _ in want.factors[:3]:
+        assert sorted(_conjugates_of(g, d)) == factors
+    assert factor_cyclic(f, d) == want
+
+
+@pytest.mark.parametrize("d, p", [(7, 2), (13, 3), (21, 2), (45, 97), (127, 5), (15, M61)])
+def test_power_sums_are_sums_of_root_powers(d, p):
+    """s_x is sum beta^x over the roots of g: the trace of t^x mod g,
+    sum over i < k of t^(x p^i), with t^d = 1 mod g."""
+    for g, _ in factor(reduced(CyclotomicQuery(d, p))).factors[:2]:
+        s = factor_mod._power_sums(np.array(g.coeffs, dtype=_k.cyclic_dtype(p)), d, p)
+        assert len(s) == d
+        for x in range(d):
+            trace = ModPoly(p, ())
+            for i in range(g.degree):
+                trace = trace + ModPoly(p, (0,) * (x * pow(p, i, d) % d) + (1,)).divrem(g)[1]
+            assert trace.coeffs == ((s[x],) if s[x] else ()), (g, x)
+
+
+def _finish_spy(monkeypatch):
+    """Events ("conj", k) and ("refine", k, path) of `_edf_cyclic`."""
+    events = []
+    conjugates, refine = factor_mod._conjugates, factor_mod._refine
+
+    def conj(g, n, p, label):
+        events.append(("conj", len(g) - 1))
+        return conjugates(g, n, p, label)
+
+    def ref(root, w, k, p, done, path=False):
+        events.append(("refine", k, path))
+        return refine(root, w, k, p, done, path)
+
+    monkeypatch.setattr(factor_mod, "_conjugates", conj)
+    monkeypatch.setattr(factor_mod, "_refine", ref)
+    return events
+
+
+def _finished(events):
+    """The classes whose conjugates ended their tree, and those that fell back."""
+    tried = [e[1] for e in events if e[0] == "conj"]
+    fell_back = {k for k in tried
+                 if ("refine", k) in [e[:2] for e in events[events.index(("conj", k)):]]}
+    return set(tried) - fell_back, fell_back
+
+
+@pytest.mark.parametrize("d, n, p", [(7, 63, 2), (21, 63, 2), (7, 7, 29), (13, 39, 5)])
+def test_conjugate_finish_of_roots_of_lower_order(d, n, p, monkeypatch):
+    """Phi_d for d | n, d < n: the units mod n fall into more Frobenius
+    orbits than Phi_d has factors, so conjugates repeat and are kept
+    once; and Phi_7 mod 29 with n = d, six linear factors."""
+    f = reduced(CyclotomicQuery(d, p))
+    want = factor(f)
+    events = _finish_spy(monkeypatch)
+    for seed in range(3):
+        del events[:]
+        assert factor_cyclic(f, n, seed) == want
+        assert _finished(events) == ({want.factors[0][0].degree}, set())
+    orbits = numth.totient(numth.factorize(n)) // numth.mult_order(p, n)
+    assert orbits > len(want.factors) or n == d
+    assert len(_conjugates_of(want.factors[0][0], n)) == len(want.factors)
+
+
+@pytest.mark.parametrize("f, n, fallback", [
+    (_tn1(2, 15), 15, {4}),  # Phi_5 Phi_15: orders 5 and 15 in the class of degree 4
+    (_tn1(2, 21), 21, set()),  # Phi_7 and Phi_21 have classes of their own
+    (_tn1(2, 63), 63, {6}),  # Phi_9 Phi_21 Phi_63 in the class of degree 6
+    # Phi_9 and five of the six factors of Phi_63: the conjugates of a
+    # factor of Phi_63 have f's degree, 36, but are not f's factors
+    (_prod([reduced(CyclotomicQuery(9, 2))]
+           + [g for g, _ in factor(reduced(CyclotomicQuery(63, 2)))][:5]), 63, {6}),
+])
+def test_conjugate_finish_falls_back_to_the_tree(f, n, fallback, monkeypatch):
+    """A class whose conjugates do not rebuild it continues its tree, and
+    the answer is the generic one at every seed."""
+    events = _finish_spy(monkeypatch)
+    for seed in range(4):
+        del events[:]
+        assert factor_cyclic(f, n, seed) == factor(f)
+        assert _finished(events)[1] == fallback

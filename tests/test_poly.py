@@ -160,6 +160,35 @@ def test_divrem_long_input_with_modulus_past_int64():
         assert r.degree < b.degree
 
 
+def test_divrem_of_a_shorter_dividend_skips_the_kernel(monkeypatch):
+    """A dividend shorter than the divisor is its own remainder, as the
+    kernel route says, and no kernel call is made; equal lengths divide."""
+    from pretzelslice import _kernels
+
+    rng = random.Random(25)
+    cases = []
+    for p in (2, 97, (1 << 61) - 1):
+        for la, lb in ((0, 1), (0, 5), (1, 2), (3, 4), (4, 4), (16, 17), (17, 17), (40, 64)):
+            a = ModPoly(p, [rng.randrange(p) for _ in range(la)])
+            b = ModPoly(p, [rng.randrange(p) for _ in range(lb - 1)] + [1 + rng.randrange(p - 1)])
+            q, r = _kernels.divrem_mod(a.coeffs, b.coeffs, p)
+            cases.append((a, b, ModPoly(p, q.tolist()), ModPoly(p, r.tolist())))
+    calls = []
+    orig = _kernels.divrem_mod
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(_kernels, "divrem_mod", counted)
+    for a, b, q, r in cases:
+        del calls[:]
+        assert a.divrem(b) == (q, r)
+        assert len(calls) == (len(a.coeffs) >= len(b.coeffs)), (a, b)
+        if len(a.coeffs) < len(b.coeffs):
+            assert a.divrem(b)[1] is a and q.is_zero()
+
+
 def test_divrem_by_zero():
     with pytest.raises(ZeroDivisionError):
         ModPoly(5, [1]).divrem(ModPoly(5))
