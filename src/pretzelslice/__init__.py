@@ -25,7 +25,7 @@ _EXPORTS = {
     "IntPoly": "poly",
     "ModPoly": "poly",
     "PretzelKnot": "pretzel",
-    "ScanReport": "obstruction",
+    "ScanRow": "obstruction",
     "WitnessPair": "obstruction",
     "alexander_mod_p": "pretzel",
     "alexander_poly": "pretzel",
@@ -37,7 +37,7 @@ _EXPORTS = {
     "factor_cyclic": "factor",
     "factor_cyclotomic_oracle": "cyclotomic",
     "factorize": "numth",
-    "fox_milnor_mod_p": "factor",
+    "fox_milnor_offenders": "cyclotomic",
     "fox_milnor_status": "pretzel",
     "has_self_reciprocal_factor": "numth",
     "is_irreducible": "factor",

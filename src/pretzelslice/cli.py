@@ -25,7 +25,7 @@ import functools
 import json
 import os
 import sys
-from typing import List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from . import numth, obstruction, pretzel
 from ._version import __version__
@@ -104,10 +104,21 @@ def _parse_residues(text: str) -> List[int]:
     return out
 
 
+class _Unwritable(Exception):
+    """An output file that cannot be opened; `main` makes it a usage error."""
+
+
+def _open_output(path: str, newline: Optional[str] = None):
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as e:
+        raise _Unwritable(f"cannot write {path}: {e.strerror}") from None
+
+
 def _print_certificate(cert_json: dict, out: Optional[str]):
     blob = json.dumps(cert_json, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open_output(out) as fh:
             fh.write(blob + "\n")
     else:
         print(blob)
@@ -131,43 +142,45 @@ def cmd_check(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def write_scan_files(report: obstruction.ScanReport, prefix: str):
-    """One JSON object per row to {prefix}.jsonl, summary to {prefix}.csv."""
-    with open(prefix + ".jsonl", "w", encoding="utf-8") as fh:
-        for row in report.rows:
-            fh.write(json.dumps(obstruction._stringify({
-                "a": row.a, "verdict": row.verdict,
-                "p": row.p, "d": row.d, "reason": row.reason,
-            })) + "\n")
-    with open(prefix + ".csv", "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["a", "verdict", "p", "d", "reason"])
-        for row in report.rows:
-            w.writerow([
-                row.a, row.verdict,
-                "" if row.p is None else row.p,
-                "" if row.d is None else row.d,
-                row.reason,
-            ])
+def write_scan_files(rows: Iterable[obstruction.ScanRow], prefix: str):
+    """Each row to {prefix}.jsonl as a JSON object and to {prefix}.csv,
+    as it arrives; (the count of each verdict, the Inconclusive a).
+
+    Both files are opened before the first row is taken, so a path that
+    cannot be written is refused before any a is decided.
+    """
+    counts: Dict[str, int] = {}
+    inconclusive = []
+    with _open_output(prefix + ".jsonl") as jsonl, \
+            _open_output(prefix + ".csv", newline="") as table:
+        w = csv.writer(table)
+        w.writerow(obstruction.ScanRow._fields)
+        for row in rows:
+            jsonl.write(json.dumps(obstruction._stringify(row._asdict())) + "\n")
+            w.writerow(row)  # None is written as the empty string
+            counts[row.verdict] = counts.get(row.verdict, 0) + 1
+            if row.verdict == obstruction.VERDICT_INCONCLUSIVE:
+                inconclusive.append(row.a)
+    return counts, inconclusive
 
 
 def cmd_scan(args, cfg: Config) -> int:
     residues = None if args.residues is None else _parse_residues(args.residues)
-    report = obstruction.scan(
+    rows = obstruction.scan(
         args.lo, args.hi,
         modulus=args.mod, residues=residues,
         seed=cfg.seed, jobs=cfg.jobs, max_a=cfg.max_a,
     )
     prefix = cfg.out or "scan"
-    write_scan_files(report, prefix)
-    total = len(report.rows)
-    print(f"scanned {total} values of a in [{args.lo}, {args.hi}]"
-          + (f" with a mod {args.mod} in {set(report.residues)}"
+    counts, inconclusive = write_scan_files(rows, prefix)
+    # the residue set is built in ascending order, which fixes how it prints
+    print(f"scanned {sum(counts.values())} values of a in [{args.lo}, {args.hi}]"
+          + (f" with a mod {args.mod} in {set(sorted({r % args.mod for r in residues}))}"
              if args.mod else ""))
-    for verdict in sorted(report.counts):
-        print(f"  {verdict}: {report.counts[verdict]}")
-    if report.inconclusive:
-        print("inconclusive a:", ", ".join(str(a) for a in report.inconclusive))
+    for verdict in sorted(counts):
+        print(f"  {verdict}: {counts[verdict]}")
+    if inconclusive:
+        print("inconclusive a:", ", ".join(str(a) for a in inconclusive))
     print(f"wrote {prefix}.jsonl and {prefix}.csv")
     return EXIT_OK
 
@@ -357,6 +370,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_verify(args, cfg)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except _Unwritable as e:
+        print(e, file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 

@@ -327,36 +327,6 @@ def is_irreducible(f: ModPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fox-Milnor test
-
-
-@dataclass(frozen=True)
-class FoxMilnorReport:
-    """Outcome of the Fox-Milnor factorization test over F_p."""
-
-    p: int
-    admits: bool
-    multiset: FactorMultiset
-    self_reciprocal: Tuple[Tuple[ModPoly, int], ...]
-    odd_multiplicity: Tuple[Tuple[ModPoly, int], ...]
-
-
-def fox_milnor_mod_p(f: ModPoly, seed: int = DEFAULT_SEED) -> FoxMilnorReport:
-    """Whether f(t) = c * g(t) * t^deg(g) * g(1/t) is solvable over F_p.
-
-    Requires a self-reciprocal input; by the reversal symmetry of the
-    factor multiset this holds exactly when every self-reciprocal
-    irreducible factor appears with even multiplicity.
-    """
-    if f.is_zero() or not f.is_self_reciprocal():
-        raise ValueError("Fox-Milnor test needs a nonzero self-reciprocal input")
-    ms = factor(f, seed)
-    sr = tuple((g, m) for g, m in ms if g.is_self_reciprocal())
-    odd = tuple((g, m) for g, m in sr if m % 2)
-    return FoxMilnorReport(f.p, not odd, ms, sr, odd)
-
-
-# ---------------------------------------------------------------------------
 # fast path for divisors of t^n - 1
 
 

@@ -33,7 +33,7 @@ DEFAULT_SEED = 0
 
 # Witnesses making Miller-Rabin exact for all n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_LIMIT = 1 << 64
+EXACT_LIMIT = 1 << 64  # is_prime and factorize take n below this
 
 # Trial division by primes below 2^16 fully factors every n < 2^32, which
 # covers a(a+2) for a below 65535; Brent's method finishes larger inputs.
@@ -65,7 +65,7 @@ def is_prime(n: int) -> bool:
     n = operator.index(n)  # on a memo miss only: the hit path stays bare
     if n < 1:
         raise ValueError("is_prime wants a positive integer")
-    if n >= _LIMIT:
+    if n >= EXACT_LIMIT:
         raise ValueError("is_prime is exact only below 2^64")
     if n < 2:
         return False
@@ -166,7 +166,7 @@ def factorize(n: int) -> Factorization:
     n = operator.index(n)  # as in is_prime
     if n < 1:
         raise ValueError("factorize wants a positive integer")
-    if n >= _LIMIT:
+    if n >= EXACT_LIMIT:
         raise ValueError("factorize is limited to n < 2^64")
     found = {}
     stack = []

@@ -26,7 +26,9 @@ residues) and `self_reciprocal_witness` (a = 3 mod 4: a pair whose
 cyclotomic contains a palindromic irreducible factor, found via the
 odd part of phi(a(a+2))).
 
-`scan` sweeps a range and reports one row per a.  `build_certificate`
+`scan` sweeps a range as an iterator of rows, one per a in order of a,
+each decided when it is taken; the command line writes each row out
+as it arrives, so a long scan holds no rows.  `build_certificate`
 is the one writer of the evidence format: `decide` hands it the pair
 outcomes of its search, and `verify_certificate` calls it on the
 stated witness and compares, so verifying factors no polynomial.
@@ -34,6 +36,7 @@ stated witness and compares, so verifying factors no polynomial.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -480,18 +483,6 @@ class ScanRow(NamedTuple):
     reason: str
 
 
-class ScanReport(NamedTuple):
-    lo: int
-    hi: int
-    modulus: Optional[int]
-    residues: Optional[Tuple[int, ...]]
-    rows: Tuple[ScanRow, ...]
-    counts: Dict[str, int]
-    inconclusive: Tuple[int, ...]
-    seed: int
-    version: str
-
-
 def _row_reason(cert: Certificate) -> str:
     ev = cert.evidence
     if cert.verdict == VERDICT_PARITY:
@@ -506,6 +497,7 @@ def _row_reason(cert: Certificate) -> str:
 
 def _scan_one(args) -> ScanRow:
     a, seed, max_a = args
+    # a module global looked up on each call, so a rebinding is seen
     cert = decide(a, seed=seed, max_a=max_a)
     w = cert.witness
     return ScanRow(
@@ -525,18 +517,23 @@ def scan(
     seed: int = DEFAULT_SEED,
     jobs: int = 1,
     max_a: int = pretzel.DEFAULT_MAX_A,
-) -> ScanReport:
-    """Decide every matching odd a in [lo, hi] and aggregate one row each.
+) -> Iterator[ScanRow]:
+    """The rows of every matching odd a in [lo, hi], as an iterator in order of a.
 
     The optional filter keeps only a with a mod modulus in residues.
-    A kept a above `max_a` is refused (ValueError) before any is decided.
-    Rows are ordered by a regardless of worker scheduling, so reports
-    are byte-stable for a fixed configuration.  Each a costs one
-    `decide`, and a row's witness d, when there is one, is prime
-    (Lemma (a) in `check_pair`).
+    The arguments are checked at the call, and the largest kept a is
+    validated there once (`pretzel.validate_member`), so a range past
+    `max_a` or past numth's exact range is refused (ValueError) before
+    any a is decided.  Nothing else happens at the call.  In this
+    process each a is decided as its row is taken, so the scan holds no
+    rows; with workers, `ProcessPoolExecutor.map` submits every task
+    when the first row is taken.  The order is by a regardless of
+    worker scheduling, so the rows are byte-stable for a fixed
+    configuration.  Each a costs one `decide`, and a row's witness d,
+    when there is one, is prime (Lemma (a) in `check_pair`).
 
     `jobs` is an upper bound on worker processes.  The pool starts every
-    worker at the first submit, so it gets min(jobs, number of
+    worker at the first row taken, so it gets min(jobs, number of
     `_CHUNK`-value chunks) workers; when that is 1 the scan runs in this
     process and forks nothing.  Tasks carry about 1/16 of each worker's
     share and at least `_CHUNK` values of a, so that one task's decide
@@ -546,39 +543,38 @@ def scan(
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
     if (modulus is None) != (residues is None):
         raise ValueError("modulus and residues go together")
-    rset: Optional[Tuple[int, ...]] = None
-    if modulus is not None:
-        if modulus < 1 or not residues:
-            raise ValueError("empty residue filter")
-        rset = tuple(sorted(set(r % modulus for r in residues)))
-        if modulus % 2 == 0 and all(r % 2 == 0 for r in rset):
-            raise ValueError("residue filter excludes every odd a")
+    if modulus is None:
+        modulus, residues = 2, (1,)  # every odd a
+    if modulus < 1 or not residues:
+        raise ValueError("empty residue filter")
+    # the odd a = r mod modulus are the a = c mod lcm(2, modulus), c the
+    # odd one of r mod modulus and it plus modulus; if both are even, none
+    step = modulus if modulus % 2 == 0 else 2 * modulus
+    classes = {c for c in (r % modulus + modulus * (1 - r % modulus % 2) for r in residues)
+               if c % 2}
+    if not classes:
+        raise ValueError("residue filter excludes every odd a")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    targets = [
-        a for a in range(lo | 1, hi + 1, 2)
-        if rset is None or a % modulus in rset
-    ]
-    if targets and targets[-1] > max_a:
-        pretzel.validate_member(next(a for a in targets if a > max_a), max_a)
-    work = [(a, seed, max_a) for a in targets]
-    workers = min(jobs, -(-len(work) // _CHUNK))
+    kept = [range(lo + (c - lo) % step, hi + 1, step) for c in classes]
+    last = max((r[-1] for r in kept if r), default=None)
+    if last is not None:
+        pretzel.validate_member(last, max_a)
+    work = ((a, seed, max_a) for a in heapq.merge(*kept))
+    count = sum(map(len, kept))
+    workers = min(jobs, -(-count // _CHUNK))
     if workers <= 1:
-        rows = tuple(_scan_one(args) for args in work)
-    else:
-        # imported here: a one-process scan never pays for it
-        from concurrent.futures import ProcessPoolExecutor
+        return map(_scan_one, work)
+    chunksize = max(_CHUNK, -(-count // (16 * workers)))
+    return _pooled_rows(work, workers, chunksize)
 
-        chunksize = max(_CHUNK, -(-len(work) // (16 * workers)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_scan_one, work, chunksize=chunksize))
-    counts: Dict[str, int] = {}
-    for r in rows:
-        counts[r.verdict] = counts.get(r.verdict, 0) + 1
-    inconclusive = tuple(r.a for r in rows if r.verdict == VERDICT_INCONCLUSIVE)
-    return ScanReport(
-        lo, hi, modulus, rset, rows, counts, inconclusive, seed, __version__
-    )
+
+def _pooled_rows(work, workers: int, chunksize: int) -> Iterator[ScanRow]:
+    # imported here: a one-process scan never pays for it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_scan_one, work, chunksize=chunksize)
 
 
 # ---------------------------------------------------------------------------

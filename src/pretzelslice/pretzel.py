@@ -63,9 +63,17 @@ class PretzelKnot(_PretzelKnotFields):
 
 
 def validate_member(a: int, max_a: int = DEFAULT_MAX_A) -> PretzelKnot:
+    """The knot of a, if a is at most `max_a` and a + 2 is factorable.
+
+    a + 2 must lie below 2^64 (`numth.EXACT_LIMIT`), where `factorize`
+    and `is_prime` are exact, so an admitted a never fails partway.
+    """
     knot = PretzelKnot(a)
     if a > max_a:
         raise ValueError(f"a = {a} exceeds the configured bound {max_a}")
+    if a + 2 >= numth.EXACT_LIMIT:
+        raise ValueError(f"a = {a} is too large: a + 2 must be below 2^64, "
+                         "where factorize and is_prime are exact")
     return knot
 
 

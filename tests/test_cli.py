@@ -101,6 +101,20 @@ def test_scan_usage_errors(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # refused with exit code 2, not a traceback; scan decides no a first
+    calls = []
+    real = obstruction.decide
+    monkeypatch.setattr(obstruction, "decide", lambda *a, **k: calls.append(a) or real(*a, **k))
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, "scan", "3", "9", "--out", str(missing / "x"))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"cannot write {missing / 'x.jsonl'}: ") and "Traceback" not in err
+    code, out, err = run(capsys, "check", "3", "--out", str(missing / "x.json"))
+    assert code == 2 and err.startswith(f"cannot write {missing / 'x.json'}: ")
+    assert not missing.exists()
+
+
 def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     run(capsys, "check", "3", "--out", str(out_file))
@@ -299,10 +313,10 @@ def test_scan_jobs_is_an_upper_bound(tmp_path, capsys, monkeypatch):
     assert sizes == [2, 2]  # 8 values: one chunk, scanned in process
     for ext in ("csv", "jsonl"):
         assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
-    serial = obstruction.scan(3, 99)
-    assert obstruction.scan(3, 99, jobs=3) == serial  # 49 values, 7 chunks
-    assert obstruction.scan(3, 99, jobs=64) == serial
-    assert obstruction.scan(3, 9, modulus=120, residues=(97,), jobs=64).rows == ()
+    serial = list(obstruction.scan(3, 99))
+    assert list(obstruction.scan(3, 99, jobs=3)) == serial  # 49 values, 7 chunks
+    assert list(obstruction.scan(3, 99, jobs=64)) == serial
+    assert list(obstruction.scan(3, 9, modulus=120, residues=(97,), jobs=64)) == []
     assert sizes == [2, 2, 3, 7]
 
 
@@ -334,7 +348,7 @@ def test_scan_tasks_carry_a_sixteenth_of_each_workers_share(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(obstruction, "_scan_one", one)
     for hi, jobs in ((21, 64), (99, 3), (199999, 2), (199999, 64), (17999, 2)):
-        assert len(obstruction.scan(3, hi, jobs=jobs).rows) == (hi - 1) // 2
+        assert len(list(obstruction.scan(3, hi, jobs=jobs))) == (hi - 1) // 2
     assert seen == [(2, 10, 8), (3, 49, 8), (2, 99999, 3125), (64, 99999, 98),
                     (2, 8999, 282)]
 

@@ -326,28 +326,67 @@ def test_self_reciprocal_witness_sample_sweep():
 
 
 def test_scan_report_shape():
-    rep = ob.scan(3, 99)
-    assert [r.a for r in rep.rows] == list(range(3, 100, 2))
-    assert sum(rep.counts.values()) == len(rep.rows)
-    assert rep.inconclusive == ()
-    assert rep.version == ob.__version__
+    # an iterator of rows, one per odd a, in order of a
+    rows = ob.scan(3, 99)
+    assert iter(rows) is rows
+    rows = list(rows)
+    assert [r.a for r in rows] == list(range(3, 100, 2))
+    assert all(type(r) is ob.ScanRow for r in rows)
+    assert all(r.verdict != ob.VERDICT_INCONCLUSIVE for r in rows)
 
 
 def test_scan_residue_filter():
     # a = 5 mod 8 always carries a parity witness, though the first
     # failing pair may trip the palindromic-factor condition instead
-    rep = ob.scan(3, 500, modulus=8, residues=(5,))
-    assert all(r.a % 8 == 5 for r in rep.rows)
-    assert rep.inconclusive == ()
-    assert all(r.verdict.startswith("Obstructed") for r in rep.rows)
+    rows = list(ob.scan(3, 500, modulus=8, residues=(5,)))
+    assert [r.a for r in rows] == list(range(5, 501, 8))
+    assert all(r.verdict.startswith("Obstructed") for r in rows)
 
 
 def test_scan_is_deterministic():
-    assert ob.scan(3, 151) == ob.scan(3, 151)
+    assert list(ob.scan(3, 151)) == list(ob.scan(3, 151))
 
 
 def test_scan_parallel_matches_serial():
-    assert ob.scan(3, 61, jobs=2) == ob.scan(3, 61)
+    assert list(ob.scan(3, 61, jobs=2)) == list(ob.scan(3, 61))
+
+
+def test_scan_keeps_exactly_the_filtered_odd_a(monkeypatch):
+    # against the filter applied to every odd a, with rows stubbed to a
+    monkeypatch.setattr(ob, "_scan_one", lambda args: args[0])
+    for modulus in range(1, 13):
+        for residues in ((0,), (1,), (2, 5), (-1, 3, modulus + 3), tuple(range(modulus))):
+            if modulus % 2 == 0 and all(r % 2 == 0 for r in residues):
+                with pytest.raises(ValueError, match="excludes every odd a"):
+                    ob.scan(3, 9, modulus=modulus, residues=residues)
+                continue
+            rset = {r % modulus for r in residues}
+            for lo, hi in ((3, 3), (3, 4), (4, 60), (17, 101), (98, 99)):
+                want = [a for a in range(lo | 1, hi + 1, 2) if a % modulus in rset]
+                assert list(ob.scan(lo, hi, modulus, residues)) == want, (modulus, residues, lo, hi)
+    assert list(ob.scan(3, 21)) == list(range(3, 22, 2))
+
+
+def _count_decides(monkeypatch):
+    calls = []
+    real = ob.decide
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ob, "decide", counted)
+    return calls
+
+
+def test_scan_decides_each_a_as_its_row_is_taken(monkeypatch):
+    calls = _count_decides(monkeypatch)
+    rows = ob.scan(3, 199999)
+    assert calls == []
+    assert next(rows).a == 3 and calls == [3]
+    assert next(rows).a == 5 and calls == [3, 5]
+    rows = ob.scan(3, 199999, modulus=120, residues=(97, 1))
+    assert [next(rows).a for _ in range(3)] == calls[2:] == [97, 121, 217]
 
 
 def test_scan_validation():
@@ -366,14 +405,7 @@ def test_scan_validation():
 
 
 def test_scan_refuses_a_target_past_max_a_before_deciding(monkeypatch):
-    calls = []
-    real = ob.decide
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ob, "decide", counted)
+    calls = _count_decides(monkeypatch)
     with pytest.raises(ValueError, match="a = 60001 exceeds the configured bound 60000"):
         ob.scan(3, 60001, max_a=60000)
     assert calls == []  # not even the 29,999 values below the bound
@@ -381,15 +413,30 @@ def test_scan_refuses_a_target_past_max_a_before_deciding(monkeypatch):
         ob.scan(3, 200, modulus=120, residues=(1, 97), max_a=120)
     assert calls == []
     # the targets are checked, not hi: 97 and 121 are kept, 131 is not
-    rep = ob.scan(3, 131, modulus=120, residues=(1, 97), max_a=121)
-    assert [r.a for r in rep.rows] == calls == [97, 121]
+    rows = ob.scan(3, 131, modulus=120, residues=(1, 97), max_a=121)
+    assert [r.a for r in rows] == calls == [97, 121]
+
+
+def test_scan_refuses_a_range_past_the_exact_factoring_range(monkeypatch):
+    # numth is exact below 2^64, and a + 2 is factored: the range is
+    # refused at the call, before the a below the limit are decided
+    calls = _count_decides(monkeypatch)
+    with pytest.raises(ValueError, match=r"a = 18446744073709551621 is too large: "
+                                         r"a \+ 2 must be below 2\^64"):
+        ob.scan(2**64 - 101, 2**64 + 5, max_a=2**66)
+    # 2^64 - 1 itself, although its walk would stop in a's block
+    with pytest.raises(ValueError, match=r"2\^64"):
+        ob.scan(2**64 - 1, 2**64 - 1, max_a=2**66)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"2\^64"):
+        pretzel.validate_member(2**64 - 1, max_a=2**66)
+    assert pretzel.validate_member(2**64 - 3, max_a=2**66).a == 2**64 - 3
 
 
 def test_inconclusive_set_confined_to_the_known_residues():
-    rep = ob.scan(900, 1200)
-    assert rep.inconclusive == (1081,)
-    for a in rep.inconclusive:
-        assert a % 120 in (1, 97)
+    inconclusive = [r.a for r in ob.scan(900, 1200) if r.verdict == ob.VERDICT_INCONCLUSIVE]
+    assert inconclusive == [1081]
+    assert all(a % 120 in (1, 97) for a in inconclusive)
 
 
 def test_certificate_json_uses_decimal_strings():

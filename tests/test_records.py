@@ -38,8 +38,7 @@ def _records():
         cert.witness,
         ob.check_pair(3, cert.witness),
         cert,
-        ob.scan(3, 5).rows[0],
-        ob.scan(3, 5),
+        next(ob.scan(3, 5)),
         cli.Config(),
     ]
 
@@ -64,7 +63,7 @@ def test_reprs_are_unchanged():
     assert repr(PretzelKnot(3)) == "PretzelKnot(a=3)"
     assert repr(ob.parity_witness(13)[0]) == (
         "WitnessPair(p=7, d=13, d_is_prime=True, source='a')")
-    assert repr(ob.scan(3, 3).rows[0]) == (
+    assert repr(next(ob.scan(3, 3))) == (
         "ScanRow(a=3, verdict='ObstructedParity', p=2, d=3, "
         "reason='factor count 1 is odd for (p=2, d=3)')")
     assert repr(cli.Config()) == "Config(max_a=200000, seed=0, jobs=1, out=None)"
@@ -82,7 +81,7 @@ def test_validating_records_still_raise():
 
 
 def test_pickle_round_trips_and_revalidates():
-    for rec in (ob.scan(3, 3).rows[0], ob.decide(1081), ob.decide(3),
+    for rec in (next(ob.scan(3, 3)), ob.decide(1081), ob.decide(3),
                 CyclotomicQuery(7, 2), PretzelKnot(3)):
         back = pickle.loads(pickle.dumps(rec))
         assert back == rec and type(back) is type(rec)
